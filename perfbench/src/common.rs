@@ -224,7 +224,6 @@ pub struct Metrics(pub Vec<(String, f64, &'static str)>);
 
 impl Metrics {
     pub fn set(&mut self, name: &str, value: f64, unit: &'static str) {
-        let value = if value.is_finite() { value } else { 0.0 };
         match self.0.iter_mut().find(|(n, _, _)| n == name) {
             Some(slot) => {
                 slot.1 = value;
@@ -232,6 +231,15 @@ impl Metrics {
             }
             None => self.0.push((name.to_owned(), value, unit)),
         }
+    }
+
+    /// Names of the metrics whose value is not a finite number.
+    pub fn non_finite(&self) -> Vec<&str> {
+        self.0
+            .iter()
+            .filter(|m| !m.1.is_finite())
+            .map(|m| m.0.as_str())
+            .collect()
     }
 
     pub fn get(&self, name: &str) -> Option<f64> {

@@ -2,20 +2,23 @@
 //! generation, server set-up, closed-loop clients, failure accounting and
 //! the correctness gate against an in-process reference.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
 use smoqe::{DocId, DocumentStore, EvaluationMode, QueryService, ServiceConfig};
+use smoqe_hype::HypeResult;
 use smoqe_toxgene::{all_domains, generate_hospital, DocShape, HospitalConfig};
 use smoqe_views::ViewDefinition;
 use smoqe_xml::{parse_document, snapshot, EditOp, NodeId, XmlTree};
 use smoqed::protocol::view_to_wire;
 use smoqed::{
     decode_response, encode_request, read_frame, write_frame, Request, Response, Server,
-    ServerConfig, WireEditOp, WireResult, WireStats,
+    ServerConfig, WireEditOp, WireResult,
 };
 
 use crate::common::{now_ns, Rng};
@@ -69,18 +72,62 @@ fn mode_tag(mode: EvaluationMode) -> u8 {
     MODES.iter().position(|&m| m == mode).expect("known mode") as u8
 }
 
-/// One distinct answered (tenant, document version, mode, query).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Tenant names and query texts seen by this process, each stored once.
+/// Logs name them by index, so a logged answer or edit takes a few bytes
+/// however long its query.
+struct Texts {
+    ids: BTreeMap<String, u32>,
+    texts: Vec<Arc<str>>,
+}
+
+static TEXTS: Mutex<Texts> = Mutex::new(Texts {
+    ids: BTreeMap::new(),
+    texts: Vec::new(),
+});
+
+pub fn intern(text: &str) -> u32 {
+    let mut t = TEXTS.lock().expect("text table lock");
+    if let Some(&id) = t.ids.get(text) {
+        return id;
+    }
+    let id = t.texts.len() as u32;
+    t.texts.push(Arc::from(text));
+    t.ids.insert(text.to_owned(), id);
+    id
+}
+
+pub fn text(id: u32) -> Arc<str> {
+    Arc::clone(&TEXTS.lock().expect("text table lock").texts[id as usize])
+}
+
+/// One distinct answered (tenant, document version, mode, query); tenant
+/// and query are `intern` indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AnswerKey {
-    pub tenant: String,
+    pub tenant: u32,
     pub doc: u64,
     pub mode: u8,
-    pub query: String,
+    pub query: u32,
 }
 
 impl AnswerKey {
+    fn new(tenant: &str, doc: u64, mode: EvaluationMode, query: &str) -> AnswerKey {
+        AnswerKey {
+            tenant: intern(tenant),
+            doc,
+            mode: mode_tag(mode),
+            query: intern(query),
+        }
+    }
+
     pub fn mode(&self) -> EvaluationMode {
         MODES[self.mode as usize]
+    }
+
+    /// The key in text form, for an order that does not depend on which
+    /// connection saw a text first.
+    fn sort_key(&self) -> (Arc<str>, u64, u8, Arc<str>) {
+        (text(self.tenant), self.doc, self.mode, text(self.query))
     }
 }
 
@@ -99,18 +146,64 @@ pub struct Exchange {
     pub response: Option<Response>,
 }
 
+/// Digest of one answer: its node ids and every statistics field. The log
+/// keeps digests, not answers, so its size does not grow with the
+/// answers' size. Both sides are read field by field here, not through
+/// the program's own conversions (`WireResult::from_result`,
+/// `to_result`), so that the gate also checks those.
+fn digest(answers: impl Iterator<Item = u32>, stats: [u64; 6]) -> u64 {
+    let mut h = DefaultHasher::new();
+    for a in answers {
+        a.hash(&mut h);
+    }
+    stats.hash(&mut h);
+    h.finish()
+}
+
+/// [`digest`] of an answer as the wire carried it.
+pub fn wire_digest(result: &WireResult) -> u64 {
+    let s = &result.stats;
+    digest(
+        result.answers.iter().copied(),
+        [
+            s.nodes_total,
+            s.nodes_visited,
+            s.cans_vertices,
+            s.cans_edges,
+            s.afa_values_computed,
+            s.max_shard_fraction_bits,
+        ],
+    )
+}
+
+/// [`digest`] of an answer the in-process reference computed.
+pub fn reference_digest(result: &HypeResult) -> u64 {
+    let s = &result.stats;
+    digest(
+        result.answers.iter().map(|n| n.0),
+        [
+            s.nodes_total as u64,
+            s.nodes_visited as u64,
+            s.cans_vertices as u64,
+            s.cans_edges as u64,
+            s.afa_values_computed as u64,
+            s.max_shard_fraction.to_bits(),
+        ],
+    )
+}
+
 /// What a registration or edit did, in connection order, so the
 /// reference can rebuild every document version the wire answered over.
 pub enum DocEvent {
     Register {
-        tenant: String,
+        tenant: u32,
         bytes: Arc<Vec<u8>>,
         id: u64,
     },
     Edit {
-        tenant: String,
+        tenant: u32,
         old: u64,
-        ops: Vec<EditOp>,
+        op: ChurnOp,
         new: u64,
     },
 }
@@ -118,14 +211,15 @@ pub enum DocEvent {
 /// Everything one connection observed.
 #[derive(Default)]
 pub struct ConnLog {
-    /// `(traced phase?, kind, latency µs)`.
+    /// `(traced phase?, kind, latency µs)` of each answered request.
     pub samples: Vec<(bool, Kind, f64)>,
     pub attempted: BTreeMap<Kind, u64>,
     pub failed: BTreeMap<Kind, u64>,
     pub error_codes: BTreeMap<String, u64>,
     pub busy: u64,
     pub transport: u64,
-    pub answers: HashMap<AnswerKey, WireResult>,
+    /// Digest of the first answer per key.
+    pub answers: HashMap<AnswerKey, u64>,
     pub inline_mismatches: u64,
     pub events: Vec<DocEvent>,
     /// `(nodes, µs)` per successful ingest call.
@@ -133,14 +227,23 @@ pub struct ConnLog {
 }
 
 impl ConnLog {
-    fn record_answer(&mut self, key: AnswerKey, result: &WireResult) {
+    fn record_answer(&mut self, key: AnswerKey, digest: u64) {
         match self.answers.get(&key) {
-            Some(seen) if seen != result => self.inline_mismatches += 1,
+            Some(&seen) if seen != digest => self.inline_mismatches += 1,
             Some(_) => {}
             None => {
-                self.answers.insert(key, result.clone());
+                self.answers.insert(key, digest);
             }
         }
+    }
+
+    /// Approximate heap bytes of the log's growing parts (samples, answer
+    /// digests, document events), for the run record.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.samples.capacity() * size_of::<(bool, Kind, f64)>()
+            + self.answers.capacity() * (size_of::<(AnswerKey, u64)>() + 1)
+            + self.events.capacity() * size_of::<DocEvent>()
     }
 
     pub fn merge(&mut self, other: ConnLog) {
@@ -157,8 +260,8 @@ impl ConnLog {
         self.busy += other.busy;
         self.transport += other.transport;
         self.inline_mismatches += other.inline_mismatches;
-        for (key, result) in other.answers {
-            self.record_answer(key, &result);
+        for (key, digest) in other.answers {
+            self.record_answer(key, digest);
         }
         self.events.extend(other.events);
         self.ingest.extend(other.ingest);
@@ -242,18 +345,14 @@ impl Conn {
             }
             Some(_) => true,
         };
-        if !ok {
-            *self.log.failed.entry(kind).or_default() += 1;
-        }
-        // A failed request misses every latency limit.
-        let us = if ok {
-            (t3 - t0) as f64 / 1e3
-        } else {
-            f64::INFINITY
-        };
-        self.log.samples.push((self.trace, kind, us));
+        // Only answered requests are latency samples; a failure is counted
+        // here and fails the run.
+        let us = (t3 - t0) as f64 / 1e3;
         if ok {
+            self.log.samples.push((self.trace, kind, us));
             self.observe(&request, response.as_ref().expect("ok"), us);
+        } else {
+            *self.log.failed.entry(kind).or_default() += 1;
         }
         if let (true, Some(replayer)) = (self.trace, &self.replayer) {
             let exchange = Exchange {
@@ -285,13 +384,8 @@ impl Conn {
                 },
                 Response::Answer(result),
             ) => {
-                let key = AnswerKey {
-                    tenant: tenant.clone(),
-                    doc: *doc,
-                    mode: mode_tag(*mode),
-                    query: query.clone(),
-                };
-                self.log.record_answer(key, result);
+                let key = AnswerKey::new(tenant, *doc, *mode, query);
+                self.log.record_answer(key, wire_digest(result));
             }
             (
                 Request::BatchQuery {
@@ -303,13 +397,8 @@ impl Conn {
                 Response::BatchAnswer { results, .. },
             ) => {
                 for (query, result) in queries.iter().zip(results) {
-                    let key = AnswerKey {
-                        tenant: tenant.clone(),
-                        doc: *doc,
-                        mode: mode_tag(*mode),
-                        query: query.clone(),
-                    };
-                    self.log.record_answer(key, result);
+                    let key = AnswerKey::new(tenant, *doc, *mode, query);
+                    self.log.record_answer(key, wire_digest(result));
                 }
             }
             (
@@ -350,24 +439,12 @@ impl Conn {
         match self.exchange(Kind::Register, request)? {
             Response::DocumentRegistered { doc } => {
                 self.log.events.push(DocEvent::Register {
-                    tenant: tenant.to_owned(),
+                    tenant: intern(tenant),
                     bytes: Arc::clone(bytes),
                     id: doc,
                 });
                 Some(doc)
             }
-            _ => None,
-        }
-    }
-
-    pub fn stats(&mut self, tenant: Option<&str>) -> Option<WireStats> {
-        match self.exchange(
-            Kind::Admin,
-            Request::Stats {
-                tenant: tenant.map(str::to_owned),
-            },
-        )? {
-            Response::Stats(stats) => Some(stats),
             _ => None,
         }
     }
@@ -427,9 +504,6 @@ pub struct WireInputs {
     pub docs: Vec<DocSpec>,
     pub workers: usize,
     pub clients: usize,
-    /// Registrations of each document during set-up (identical bytes
-    /// deduplicate, but the server validates and loads each in full).
-    pub ingest_repeats: usize,
 }
 
 pub fn hospital_doc(patients: usize, departments: usize, seed: u64) -> XmlTree {
@@ -475,7 +549,6 @@ pub fn wire_inputs(workload: &str, seed: u64) -> WireInputs {
                 docs: vec![doc_spec(0, &tree)],
                 workers: 1,
                 clients: 2,
-                ingest_repeats: 16,
             }
         }
         "eval_large" => {
@@ -500,7 +573,6 @@ pub fn wire_inputs(workload: &str, seed: u64) -> WireInputs {
                 docs,
                 workers: 0,
                 clients: 2,
-                ingest_repeats: 6,
             }
         }
         "churn" => WireInputs {
@@ -512,7 +584,6 @@ pub fn wire_inputs(workload: &str, seed: u64) -> WireInputs {
             docs: Vec::new(),
             workers: 0,
             clients: 2,
-            ingest_repeats: 0,
         },
         other => panic!("not a socket workload: {other}"),
     }
@@ -572,19 +643,33 @@ impl Driver for ServeHot {
 /// of the sequence keeps the tenant and mode mix balanced and every run
 /// poses the same requests (the seed varies the documents). Every 4th
 /// request is an OptHyPE batch of the hospital corpus over the largest
-/// document.
+/// document, and every 16th re-registers a tenant's document.
 pub struct EvalLarge {
     tenants: Vec<(String, u64, Vec<String>)>,
+    /// Per tenant: its document's snapshot.
+    snapshots: Vec<Arc<Vec<u8>>>,
     /// Per tenant: its (query, mode) pairs.
     cycles: Vec<Vec<(usize, EvaluationMode)>>,
     n: usize,
     solo: usize,
+    registered: usize,
 }
+
+/// Every this many requests, an `eval_large` connection registers a
+/// tenant's document again: a tenant re-uploading its document. The bytes
+/// are identical, so the server loads them in full but keeps one copy.
+/// These calls are the workload's ingest sample; its set-up registrations
+/// alone (12 calls a run) spread 0.20–0.36 over ten runs.
+const EVAL_LARGE_REGISTER_EVERY: usize = 16;
 
 impl Driver for EvalLarge {
     fn step(&mut self, conn: &mut Conn) {
         self.n += 1;
-        if self.n.is_multiple_of(4) {
+        if self.n % EVAL_LARGE_REGISTER_EVERY == 2 {
+            let t = self.registered % self.tenants.len();
+            self.registered += 1;
+            conn.register_document(&self.tenants[t].0, &self.snapshots[t]);
+        } else if self.n.is_multiple_of(4) {
             let (tenant, doc, queries) = &self.tenants[0];
             let request = Request::BatchQuery {
                 tenant: tenant.clone(),
@@ -610,6 +695,91 @@ impl Driver for EvalLarge {
     }
 }
 
+/// The subtrees `churn` splices into its documents.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Payload {
+    Patient,
+    Visit,
+    Annex,
+}
+
+impl Payload {
+    const ALL: [Payload; 3] = [Payload::Patient, Payload::Visit, Payload::Annex];
+
+    fn xml(self) -> &'static str {
+        match self {
+            Payload::Patient => "<patient><pname>Churn</pname><address><street>s</street><city>c</city><zip>z</zip></address>\
+                 <visit><date>d</date><treatment><medication><type>t</type><diagnosis>flu</diagnosis></medication></treatment></visit></patient>",
+            Payload::Visit => "<visit><date>d2</date><treatment><medication><type>t</type><diagnosis>heart disease</diagnosis></medication></treatment></visit>",
+            Payload::Annex => "<annex><note>unlisted</note></annex>",
+        }
+    }
+}
+
+/// The payload trees, indexed by `Payload as usize`.
+pub fn payload_trees() -> [XmlTree; 3] {
+    Payload::ALL.map(|p| parse_document(p.xml()).expect("payload parses"))
+}
+
+/// One `churn` edit as the log keeps it: its target and which payload it
+/// splices. The log holds these rather than `EditOp`s, which carry a whole
+/// subtree each, so that it stays small however many edits a run makes.
+#[derive(Debug, Clone, Copy)]
+pub enum ChurnOp {
+    Insert {
+        parent: NodeId,
+        position: usize,
+        payload: Payload,
+    },
+    Delete {
+        node: NodeId,
+    },
+    Replace {
+        node: NodeId,
+        payload: Payload,
+    },
+}
+
+impl ChurnOp {
+    pub fn to_edit(self, payloads: &[XmlTree; 3]) -> EditOp {
+        match self {
+            ChurnOp::Insert {
+                parent,
+                position,
+                payload,
+            } => EditOp::Insert {
+                parent,
+                position,
+                subtree: payloads[payload as usize].clone(),
+            },
+            ChurnOp::Delete { node } => EditOp::Delete { node },
+            ChurnOp::Replace { node, payload } => EditOp::Replace {
+                node,
+                subtree: payloads[payload as usize].clone(),
+            },
+        }
+    }
+
+    fn to_wire(self, snapshots: &[Vec<u8>; 3]) -> WireEditOp {
+        match self {
+            ChurnOp::Insert {
+                parent,
+                position,
+                payload,
+            } => WireEditOp::Insert {
+                parent: parent.0,
+                position: position as u32,
+                snapshot: snapshots[payload as usize].clone(),
+            },
+            ChurnOp::Delete { node } => WireEditOp::Delete { node: node.0 },
+            ChurnOp::Replace { node, payload } => WireEditOp::Replace {
+                node: node.0,
+                snapshot: snapshots[payload as usize].clone(),
+            },
+        }
+    }
+}
+
 /// A private document of a `churn` connection, mirrored locally so edits
 /// can target live nodes.
 struct Slot {
@@ -619,7 +789,10 @@ struct Slot {
 
 /// `churn`: per connection, a working set of private documents. Edits
 /// (each followed by an OptHyPE query on the new version), batches,
-/// long-tail compile misses and periodic fresh registrations.
+/// long-tail compile misses and periodic fresh registrations. A document
+/// retires from the working set after a fixed number of requests, so each
+/// carries the same edit history (the store keeps a version's delta log
+/// and tombstones) however fast the server runs.
 ///
 /// About 1 in 10 edits splices an alien `annex` element, always into the
 /// connection's quarantine document (the slot after the working set). Its
@@ -636,15 +809,18 @@ pub struct Churn {
     fresh: u64,
     n: u64,
     query_next: Option<usize>,
-    patient: XmlTree,
-    visit: XmlTree,
-    annex: XmlTree,
+    payloads: [XmlTree; 3],
+    payload_snapshots: [Vec<u8>; 3],
 }
 
 /// Working-set documents per connection (plus one quarantine document).
 pub const CHURN_SLOTS: usize = 4;
-/// A fresh registration every this many requests per connection.
-pub const CHURN_REGISTER_EVERY: u64 = 100;
+/// A fresh registration at every step of a connection whose number is a
+/// multiple of this, unless that step is the query after an edit: about
+/// one request in 1,000. The wire has no remove request, so every
+/// registered document stays resident; this keeps a run's growth to about
+/// a hundred documents.
+pub const CHURN_REGISTER_EVERY: u64 = 500;
 const CHURN_BATCH_EVERY: u64 = 7;
 
 pub fn churn_fresh_doc(seed: u64, conn: u64, n: u64) -> XmlTree {
@@ -653,24 +829,22 @@ pub fn churn_fresh_doc(seed: u64, conn: u64, n: u64) -> XmlTree {
 
 impl Churn {
     fn new(seed: u64, conn_idx: u64, slots: Vec<(u64, XmlTree)>) -> Churn {
-        let payload = |xml: &str| parse_document(xml).expect("payload parses");
+        let payloads = payload_trees();
+        let payload_snapshots = payloads.each_ref().map(snapshot::save);
         Churn {
             tenant: "hospital".into(),
             rng: Rng::fork(seed, 100 + conn_idx),
             conn_idx,
             seed,
-            slots: slots.into_iter().map(|(id, tree)| Slot { id, tree }).collect(),
+            slots: slots
+                .into_iter()
+                .map(|(id, tree)| Slot { id, tree })
+                .collect(),
             fresh: CHURN_SLOTS as u64 + 1,
             n: 0,
             query_next: None,
-            patient: payload(
-                "<patient><pname>Churn</pname><address><street>s</street><city>c</city><zip>z</zip></address>\
-                 <visit><date>d</date><treatment><medication><type>t</type><diagnosis>flu</diagnosis></medication></treatment></visit></patient>",
-            ),
-            visit: payload(
-                "<visit><date>d2</date><treatment><medication><type>t</type><diagnosis>heart disease</diagnosis></medication></treatment></visit>",
-            ),
-            annex: payload("<annex><note>unlisted</note></annex>"),
+            payloads,
+            payload_snapshots,
         }
     }
 
@@ -699,7 +873,7 @@ impl Churn {
     /// A small edit: about 1 in 10 splices an alien label into the
     /// quarantine document, the rest insert, replace or delete a small
     /// subtree of a working-set document. Returns the slot edited.
-    fn edit_ops(&mut self) -> (usize, Vec<EditOp>) {
+    fn edit_op(&mut self) -> (usize, ChurnOp) {
         let roll = self.rng.below(10);
         if roll == 0 {
             let slot = CHURN_SLOTS;
@@ -708,11 +882,11 @@ impl Churn {
                 let position = self.slots[slot].tree.children(p).len();
                 return (
                     slot,
-                    vec![EditOp::Insert {
+                    ChurnOp::Insert {
                         parent: p,
                         position,
-                        subtree: self.annex.clone(),
-                    }],
+                        payload: Payload::Annex,
+                    },
                 );
             }
         }
@@ -721,11 +895,11 @@ impl Churn {
         let visits = Self::live_with_label(tree, "visit");
         let departments = Self::live_with_label(tree, "department");
         let op = match roll % 3 {
-            0 => self.pick(&visits).map(|v| EditOp::Replace {
+            0 => self.pick(&visits).map(|v| ChurnOp::Replace {
                 node: v,
-                subtree: self.visit.clone(),
+                payload: Payload::Visit,
             }),
-            1 => self.pick(&visits).map(|v| EditOp::Delete { node: v }),
+            1 => self.pick(&visits).map(|v| ChurnOp::Delete { node: v }),
             _ => None,
         };
         let op = op.unwrap_or_else(|| {
@@ -733,16 +907,17 @@ impl Churn {
                 .pick(&departments)
                 .unwrap_or(self.slots[slot].tree.root());
             let position = self.slots[slot].tree.children(d).len();
-            EditOp::Insert {
+            ChurnOp::Insert {
                 parent: d,
                 position,
-                subtree: self.patient.clone(),
+                payload: Payload::Patient,
             }
         });
-        (slot, vec![op])
+        (slot, op)
     }
 
-    fn register_fresh(&mut self, conn: &mut Conn, slot: usize) {
+    fn register_fresh(&mut self, conn: &mut Conn) {
+        let slot = self.fresh as usize % CHURN_SLOTS;
         self.fresh += 1;
         let tree = churn_fresh_doc(self.seed, self.conn_idx, self.fresh);
         let bytes = Arc::new(snapshot::save(&tree));
@@ -750,27 +925,6 @@ impl Churn {
             self.slots[slot] = Slot { id, tree };
         }
     }
-}
-
-fn wire_ops(ops: &[EditOp]) -> Vec<WireEditOp> {
-    ops.iter()
-        .map(|op| match op {
-            EditOp::Insert {
-                parent,
-                position,
-                subtree,
-            } => WireEditOp::Insert {
-                parent: parent.0,
-                position: *position as u32,
-                snapshot: snapshot::save(subtree),
-            },
-            EditOp::Delete { node } => WireEditOp::Delete { node: node.0 },
-            EditOp::Replace { node, subtree } => WireEditOp::Replace {
-                node: node.0,
-                snapshot: snapshot::save(subtree),
-            },
-        })
-        .collect()
 }
 
 impl Driver for Churn {
@@ -789,8 +943,7 @@ impl Driver for Churn {
             return;
         }
         if self.n.is_multiple_of(CHURN_REGISTER_EVERY) {
-            let target = (self.n / CHURN_REGISTER_EVERY) as usize % CHURN_SLOTS;
-            self.register_fresh(conn, target);
+            self.register_fresh(conn);
             return;
         }
         if self.n.is_multiple_of(CHURN_BATCH_EVERY) {
@@ -805,25 +958,23 @@ impl Driver for Churn {
             conn.exchange(Kind::Batch, request);
             return;
         }
-        let (slot, ops) = self.edit_ops();
+        let (slot, op) = self.edit_op();
         let old = self.slots[slot].id;
         let request = Request::ApplyEdit {
             tenant: self.tenant.clone(),
             doc: old,
-            ops: wire_ops(&ops),
+            ops: vec![op.to_wire(&self.payload_snapshots)],
         };
         if let Some(Response::EditApplied { new_doc, .. }) = conn.exchange(Kind::Edit, request) {
-            for op in &ops {
-                self.slots[slot]
-                    .tree
-                    .apply(op)
-                    .expect("edit applies locally as on the server");
-            }
+            self.slots[slot]
+                .tree
+                .apply(&op.to_edit(&self.payloads))
+                .expect("edit applies locally as on the server");
             self.slots[slot].id = new_doc;
             conn.log.events.push(DocEvent::Edit {
-                tenant: self.tenant.clone(),
+                tenant: intern(&self.tenant),
                 old,
-                ops,
+                op,
                 new: new_doc,
             });
             self.query_next = Some(slot);
@@ -836,10 +987,13 @@ impl Driver for Churn {
 // ---------------------------------------------------------------------------
 
 /// A running server with the workload's views and documents registered and
-/// its caches warm.
+/// its caches warm. The set-up connection is closed before this is
+/// returned, so the window's connections are the only ones the server
+/// serves.
 pub struct Deployment {
     pub server: Server,
-    pub admin: Conn,
+    /// What the set-up connection observed (registrations, ingest, answers).
+    pub setup_log: ConnLog,
     pub inputs: WireInputs,
     /// Doc id of each `inputs.docs` entry.
     pub doc_ids: Vec<u64>,
@@ -884,10 +1038,7 @@ pub fn deploy(workload: &str, seed: u64, trace: bool) -> Deployment {
     let mut doc_ids = Vec::new();
     for d in &inputs.docs {
         let tenant = &inputs.tenants[d.tenant].name;
-        let mut id = None;
-        for _ in 0..inputs.ingest_repeats.max(1) {
-            id = admin.register_document(tenant, &d.bytes);
-        }
+        let id = admin.register_document(tenant, &d.bytes);
         doc_ids.push(id.expect("document registers"));
     }
     let mut churn_slots = Vec::new();
@@ -945,9 +1096,11 @@ pub fn deploy(workload: &str, seed: u64, trace: bool) -> Deployment {
             }
         }
     }
+    let setup_log = std::mem::take(&mut admin.log);
+    drop(admin);
     Deployment {
         server,
-        admin,
+        setup_log,
         inputs,
         doc_ids,
         churn_slots,
@@ -988,9 +1141,16 @@ fn drivers(workload: &str, seed: u64, dep: &mut Deployment) -> Vec<Box<dyn Drive
                     // Each connection starts half a tenant cycle apart.
                     Box::new(EvalLarge {
                         tenants: tenants.clone(),
+                        snapshots: dep
+                            .inputs
+                            .docs
+                            .iter()
+                            .map(|d| Arc::clone(&d.bytes))
+                            .collect(),
                         cycles: cycles.clone(),
                         n: 2 * c,
                         solo: 30 * c,
+                        registered: 2 * c,
                     }) as Box<dyn Driver>
                 })
                 .collect()
@@ -1117,21 +1277,18 @@ pub fn check(tenants: &[TenantSpec], log: &ConnLog, seed: u64) -> GateReport {
             log.inline_mismatches
         ));
     }
-    let mut by_doc: HashMap<(String, u64), Vec<&AnswerKey>> = HashMap::new();
+    let mut by_doc: HashMap<(u32, u64), Vec<&AnswerKey>> = HashMap::new();
     let mut keys: Vec<&AnswerKey> = log.answers.keys().collect();
-    keys.sort();
+    keys.sort_by_cached_key(|k| k.sort_key());
     for key in &keys {
-        by_doc
-            .entry((key.tenant.clone(), key.doc))
-            .or_default()
-            .push(key);
+        by_doc.entry((key.tenant, key.doc)).or_default().push(key);
     }
     let mut rng = Rng::fork(seed, 30);
     let mut sample: Vec<&AnswerKey> = Vec::new();
     for _ in 0..ORACLE_SAMPLE.min(keys.len()) {
         sample.push(keys[rng.below(keys.len())]);
     }
-    let references: HashMap<&str, (QueryService, DocumentStore, &ViewDefinition)> = tenants
+    let references: HashMap<u32, (QueryService, DocumentStore, &ViewDefinition)> = tenants
         .iter()
         .map(|t| {
             // Caching is transparent to answers and statistics, so the
@@ -1142,44 +1299,38 @@ pub fn check(tenants: &[TenantSpec], log: &ConnLog, seed: u64) -> GateReport {
                 ..ServiceConfig::default()
             };
             let service = QueryService::with_config(t.view.clone(), config).expect("view valid");
-            (t.name.as_str(), (service, DocumentStore::new(), &t.view))
+            (intern(&t.name), (service, DocumentStore::new(), &t.view))
         })
         .collect();
-    let mut verify = |tenant: &str, id: u64, report: &mut GateReport| {
-        let Some(group) = by_doc.remove(&(tenant.to_owned(), id)) else {
+    let payloads = payload_trees();
+    let mut verify = |tenant: u32, id: u64, report: &mut GateReport| {
+        let Some(group) = by_doc.remove(&(tenant, id)) else {
             return;
         };
-        let (service, store, view) = &references[tenant];
+        let (service, store, view) = &references[&tenant];
         let doc = store.get(DocId(id)).expect("reference holds the version");
+        let tenant = text(tenant);
         for mode in MODES {
-            let queries: Vec<&str> = group
-                .iter()
-                .filter(|k| k.mode() == mode)
-                .map(|k| k.query.as_str())
-                .collect();
-            if queries.is_empty() {
+            let keys: Vec<&AnswerKey> =
+                group.iter().copied().filter(|k| k.mode() == mode).collect();
+            if keys.is_empty() {
                 continue;
             }
+            let texts: Vec<Arc<str>> = keys.iter().map(|k| text(k.query)).collect();
+            let queries: Vec<&str> = texts.iter().map(|q| &**q).collect();
             let batch = service
                 .evaluate_batch(&queries, doc.tree(), mode)
                 .expect("reference evaluates");
-            for (query, expected) in queries.iter().zip(&batch.results) {
-                let key = AnswerKey {
-                    tenant: tenant.to_owned(),
-                    doc: id,
-                    mode: mode_tag(mode),
-                    query: query.to_string(),
-                };
-                let wire = log.answers[&key].to_result();
+            for ((key, query), expected) in keys.iter().zip(&queries).zip(&batch.results) {
                 report.checked += 1;
-                if wire.answers != expected.answers || wire.stats != expected.stats {
+                if log.answers[*key] != reference_digest(expected) {
                     report.mismatches += 1;
                     report.fail(format!(
                         "wire vs reference on {tenant}/{id}/{}/`{query}`",
                         mode_name(mode)
                     ));
                 }
-                if sample.contains(&&key) {
+                if sample.contains(key) {
                     report.oracle_checked += 1;
                     let oracle = oracle_answers(view, doc.tree(), query);
                     let got: Vec<u32> = expected.answers.iter().map(|n| n.0).collect();
@@ -1194,22 +1345,22 @@ pub fn check(tenants: &[TenantSpec], log: &ConnLog, seed: u64) -> GateReport {
     for event in &log.events {
         match event {
             DocEvent::Register { tenant, bytes, id } => {
-                let (_, store, _) = &references[tenant.as_str()];
+                let (_, store, _) = &references[tenant];
                 let got = store.insert_snapshot(bytes).expect("reference ingests").0;
                 if got != *id {
                     report.id_mismatches += 1;
                     report.fail(format!("registered id {id} vs reference {got}"));
                 }
-                verify(tenant, *id, &mut report);
+                verify(*tenant, *id, &mut report);
             }
             DocEvent::Edit {
                 tenant,
                 old,
-                ops,
+                op,
                 new,
             } => {
-                let (service, store, _) = &references[tenant.as_str()];
-                match service.apply_edit(store, DocId(*old), ops) {
+                let (service, store, _) = &references[tenant];
+                match service.apply_edit(store, DocId(*old), &[op.to_edit(&payloads)]) {
                     Ok(receipt) if receipt.new_id.0 == *new => {}
                     other => {
                         report.id_mismatches += 1;
@@ -1220,7 +1371,7 @@ pub fn check(tenants: &[TenantSpec], log: &ConnLog, seed: u64) -> GateReport {
                         continue;
                     }
                 }
-                verify(tenant, *new, &mut report);
+                verify(*tenant, *new, &mut report);
             }
         }
     }
