@@ -70,6 +70,20 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// Geometric mean of positive values (0 for none).
+pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
+    let (mut log_sum, mut n) = (0.0, 0usize);
+    for v in values {
+        log_sum += v.ln();
+        n += 1;
+    }
+    if n == 0 {
+        0.0
+    } else {
+        (log_sum / n as f64).exp()
+    }
+}
+
 pub fn sorted(values: &[f64]) -> Vec<f64> {
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);

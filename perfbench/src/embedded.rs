@@ -16,7 +16,7 @@ use smoqe_xml::{parse_document, to_xml_string, XmlTree};
 
 use crate::common::{now_ns, Rng};
 use crate::trace::{Tracer, ROOT};
-use crate::wire::{oracle_answers, GateReport, Kind, ORACLE_SAMPLE};
+use crate::wire::{oracle_answers, GateReport, Kind, Sample, ORACLE_SAMPLE};
 
 /// Five σ₀ queries (hot, recursive and filtered shapes). An odd count,
 /// run equally often, keeps the median inside one query's latencies.
@@ -28,8 +28,10 @@ pub const QUERIES: &[&str] = &[
     "patient[record/diagnosis/text()='heart disease' and parent]",
 ];
 
-/// Hospital Standard scale: about 147k nodes, 3.2 MB of XML.
-pub const SCALE: usize = 32;
+/// Hospital Standard scale: about 37k nodes, 0.8 MB of XML. At 147k nodes
+/// (3.2 MB) the fastest repeats followed the host's shared-cache traffic
+/// about twice as much.
+pub const SCALE: usize = 8;
 /// Distinct documents cycled through.
 pub const DOCS: usize = 2;
 pub const BATCHES_PER_DOC: usize = 2;
@@ -85,10 +87,12 @@ pub fn setup(seed: u64, tracer: Option<&mut Tracer>) -> Inputs {
 /// What one `embedded_xml` window observed.
 #[derive(Default)]
 pub struct Log {
-    /// `(traced phase?, kind, µs)`.
-    pub samples: Vec<(bool, Kind, f64)>,
-    /// `(nodes, µs)` per `insert_xml`.
-    pub ingest: Vec<(usize, f64)>,
+    /// Each call. A query's key is its text and a batch's is 0, whatever
+    /// the document (the documents share their shape and size); an
+    /// insert's key is its document.
+    pub samples: Vec<Sample>,
+    /// `(document index, nodes, µs)` per `insert_xml`.
+    pub ingest: Vec<(u64, usize, f64)>,
     /// First result per (document, query, path) plus repeat mismatches.
     pub answers: HashMap<(usize, String, &'static str), HypeResult>,
     pub inline_mismatches: u64,
@@ -154,14 +158,19 @@ pub fn run_window(inputs: &Inputs, seconds: f64, trace: bool) -> (Log, [f64; 2])
         let us = (now_ns() - t0) as f64 / 1e3;
         let stored = store.get(id).expect("inserted");
         let nodes = stored.tree().len();
-        log.samples.push((traced, Kind::Register, us));
-        log.ingest.push((nodes, us));
+        log.samples.push(Sample {
+            traced,
+            kind: Kind::Register,
+            us,
+            key: d as u64,
+        });
+        log.ingest.push((d as u64, nodes, us));
         log.peak_resident_nodes = log.peak_resident_nodes.max(nodes);
         log.bytes_per_node.push(
             (stored.tree().approximate_byte_size() + stored.snapshot_bytes().len()) as f64
                 / nodes as f64,
         );
-        for q in QUERIES {
+        for (qi, q) in QUERIES.iter().enumerate() {
             let t0 = now_ns();
             let result = if traced {
                 let req = cycle as u64;
@@ -189,8 +198,12 @@ pub fn run_window(inputs: &Inputs, seconds: f64, trace: bool) -> (Log, [f64; 2])
                     .expect("stream evaluates")
                     .0
             };
-            log.samples
-                .push((traced, Kind::Query, (now_ns() - t0) as f64 / 1e3));
+            log.samples.push(Sample {
+                traced,
+                kind: Kind::Query,
+                us: (now_ns() - t0) as f64 / 1e3,
+                key: qi as u64,
+            });
             log.record((d, q.to_string(), "stream"), &result);
         }
         for _ in 0..BATCHES_PER_DOC {
@@ -208,8 +221,12 @@ pub fn run_window(inputs: &Inputs, seconds: f64, trace: bool) -> (Log, [f64; 2])
                 service.evaluate_batch_parallel(QUERIES, stored.tree(), EvaluationMode::HyPE)
             }
             .expect("batch evaluates");
-            log.samples
-                .push((traced, Kind::Batch, (now_ns() - t0) as f64 / 1e3));
+            log.samples.push(Sample {
+                traced,
+                kind: Kind::Batch,
+                us: (now_ns() - t0) as f64 / 1e3,
+                key: 0,
+            });
             log.max_shard.push(service.stats().last_max_shard_fraction);
             for (q, r) in QUERIES.iter().zip(&batch.results) {
                 log.record((d, q.to_string(), "batch"), r);

@@ -60,9 +60,8 @@ pub const LAYER_METRICS: &[(&str, &str)] = &[
     ("parallel.eval_us", "us"),
     ("parallel.max_shard_fraction", "ratio"),
     ("trace.overhead.qps", "ratio"),
-    ("trace.overhead.query_p50_us", "ratio"),
-    ("trace.overhead.query_tail_us", "ratio"),
-    ("trace.overhead.batch_p50_us", "ratio"),
+    ("trace.overhead.query_best_us", "ratio"),
+    ("trace.overhead.batch_best_us", "ratio"),
     ("trace.overhead.setup_s", "ratio"),
     ("trace.peak_rss_mb", "MB"),
 ];

@@ -208,11 +208,55 @@ pub enum DocEvent {
     },
 }
 
+/// One answered request.
+#[derive(Debug, Clone, Copy)]
+pub struct Sample {
+    /// Answered in the traced phase of the window.
+    pub traced: bool,
+    pub kind: Kind,
+    /// Round trip, µs.
+    pub us: f64,
+    /// Which distinct request this was ([`sample_key`]), so that the
+    /// fastest of a request's repeats can be found.
+    pub key: u64,
+}
+
+/// The identity of a request for its repeats: a query's tenant, mode and
+/// text (not its document version); a batch's tenant, mode and texts; a
+/// registration's content-addressed document id; an edit's new version.
+pub fn sample_key(request: &Request, response: &Response) -> u64 {
+    let mut h = DefaultHasher::new();
+    match (request, response) {
+        (
+            Request::Query {
+                tenant,
+                mode,
+                query,
+                ..
+            },
+            _,
+        ) => (0u8, tenant, mode_tag(*mode), query).hash(&mut h),
+        (
+            Request::BatchQuery {
+                tenant,
+                mode,
+                queries,
+                ..
+            },
+            _,
+        ) => (1u8, tenant, mode_tag(*mode), queries).hash(&mut h),
+        (_, Response::DocumentRegistered { doc }) => (2u8, doc).hash(&mut h),
+        (_, Response::EditApplied { new_doc, .. }) => (3u8, new_doc).hash(&mut h),
+        _ => 4u8.hash(&mut h),
+    }
+    h.finish()
+}
+
 /// Everything one connection observed.
 #[derive(Default)]
 pub struct ConnLog {
-    /// `(traced phase?, kind, latency µs)` of each answered request.
-    pub samples: Vec<(bool, Kind, f64)>,
+    /// Each answered request.
+    pub samples: Vec<Sample>,
     pub attempted: BTreeMap<Kind, u64>,
     pub failed: BTreeMap<Kind, u64>,
     pub error_codes: BTreeMap<String, u64>,
@@ -222,8 +266,8 @@ pub struct ConnLog {
     pub answers: HashMap<AnswerKey, u64>,
     pub inline_mismatches: u64,
     pub events: Vec<DocEvent>,
-    /// `(nodes, µs)` per successful ingest call.
-    pub ingest: Vec<(usize, f64)>,
+    /// `(document id, nodes, µs)` per successful ingest call.
+    pub ingest: Vec<(u64, usize, f64)>,
 }
 
 impl ConnLog {
@@ -241,7 +285,7 @@ impl ConnLog {
     /// digests, document events), for the run record.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.samples.capacity() * size_of::<(bool, Kind, f64)>()
+        self.samples.capacity() * size_of::<Sample>()
             + self.answers.capacity() * (size_of::<(AnswerKey, u64)>() + 1)
             + self.events.capacity() * size_of::<DocEvent>()
     }
@@ -349,8 +393,14 @@ impl Conn {
         // here and fails the run.
         let us = (t3 - t0) as f64 / 1e3;
         if ok {
-            self.log.samples.push((self.trace, kind, us));
-            self.observe(&request, response.as_ref().expect("ok"), us);
+            let answer = response.as_ref().expect("ok");
+            self.log.samples.push(Sample {
+                traced: self.trace,
+                kind,
+                us,
+                key: sample_key(&request, answer),
+            });
+            self.observe(&request, answer, us);
         } else {
             *self.log.failed.entry(kind).or_default() += 1;
         }
@@ -405,10 +455,10 @@ impl Conn {
                 Request::RegisterDocument {
                     snapshot: bytes, ..
                 },
-                Response::DocumentRegistered { .. },
+                Response::DocumentRegistered { doc },
             ) => {
                 if let Ok(header) = snapshot::peek_header(bytes) {
-                    self.log.ingest.push((header.node_count as usize, us));
+                    self.log.ingest.push((*doc, header.node_count as usize, us));
                 }
             }
             _ => {}
@@ -527,10 +577,16 @@ fn doc_spec(tenant: usize, tree: &XmlTree) -> DocSpec {
     }
 }
 
-/// Scales of the `eval_large` Standard documents: hospital ≈ 74k nodes
-/// (a corpus batch over it takes about 0.2 s), the others 21k–31k.
-pub const EVAL_LARGE_HOSPITAL_SCALE: usize = 16;
-pub const EVAL_LARGE_SCALE: usize = 32;
+/// Scales of the `eval_large` Standard documents: hospital ≈ 37k nodes
+/// (a corpus batch over it takes about 50 ms), the others 11k–15k; about
+/// 2.7 MB resident in all. At twice these sizes the documents read more
+/// of the neighbours' traffic in the host's shared last-level cache: their
+/// fastest repeats drifted about twice as much as at half these sizes
+/// over the same runs. At half these sizes a solo request takes under
+/// 1 ms, and socket and wake-up time (`server.residual_share`, 0.18) is
+/// no longer small beside traversal.
+pub const EVAL_LARGE_HOSPITAL_SCALE: usize = 8;
+pub const EVAL_LARGE_SCALE: usize = 16;
 
 pub fn wire_inputs(workload: &str, seed: u64) -> WireInputs {
     match workload {
@@ -639,10 +695,11 @@ impl Driver for ServeHot {
 }
 
 /// `eval_large`: solo requests rotate over the tenants, each tenant
-/// cycling through its (query, mode) pairs query by query, so any prefix
-/// of the sequence keeps the tenant and mode mix balanced and every run
-/// poses the same requests (the seed varies the documents). Every 4th
-/// request is an OptHyPE batch of the hospital corpus over the largest
+/// cycling through the (query, mode) pairs of its solo queries
+/// ([`EVAL_LARGE_SOLO_QUERIES`]) query by query, so any prefix of the
+/// sequence keeps the tenant and mode mix balanced and every run poses
+/// the same requests (the seed varies the documents). Every 4th request
+/// is an OptHyPE batch of the whole hospital corpus over the largest
 /// document, and every 16th re-registers a tenant's document.
 pub struct EvalLarge {
     tenants: Vec<(String, u64, Vec<String>)>,
@@ -658,9 +715,18 @@ pub struct EvalLarge {
 /// Every this many requests, an `eval_large` connection registers a
 /// tenant's document again: a tenant re-uploading its document. The bytes
 /// are identical, so the server loads them in full but keeps one copy.
-/// These calls are the workload's ingest sample; its set-up registrations
-/// alone (12 calls a run) spread 0.20–0.36 over ten runs.
+/// These calls are the workload's ingest sample: each document is
+/// registered 20–40 times in a 40 s window, so its fastest registration
+/// is a steady figure (`ingest_best_nodes_per_s`).
 const EVAL_LARGE_REGISTER_EVERY: usize = 16;
+
+/// Solo queries per `eval_large` tenant, evenly spaced over its corpus:
+/// 4 tenants × 4 queries × 3 modes = 48 distinct solo requests, each
+/// posed 20–40 times in a 40 s window (as the host's speed allows), so
+/// that each one's fastest round trip is a steady figure
+/// (`query_best_us`). With the whole corpora (156 pairs) each pair came
+/// about six times in 25 s, and the figure moved with the host's speed.
+pub const EVAL_LARGE_SOLO_QUERIES: usize = 4;
 
 impl Driver for EvalLarge {
     fn step(&mut self, conn: &mut Conn) {
@@ -1131,14 +1197,15 @@ fn drivers(workload: &str, seed: u64, dep: &mut Deployment) -> Vec<Box<dyn Drive
             let cycles: Vec<Vec<(usize, EvaluationMode)>> = tenants
                 .iter()
                 .map(|(_, _, queries)| {
-                    (0..queries.len())
+                    (0..EVAL_LARGE_SOLO_QUERIES)
+                        .map(|i| i * queries.len() / EVAL_LARGE_SOLO_QUERIES)
                         .flat_map(|q| MODES.map(|m| (q, m)))
                         .collect()
                 })
                 .collect();
             (0..clients)
                 .map(|c| {
-                    // Each connection starts half a tenant cycle apart.
+                    // The second connection starts half the solo sequence apart.
                     Box::new(EvalLarge {
                         tenants: tenants.clone(),
                         snapshots: dep
@@ -1149,7 +1216,7 @@ fn drivers(workload: &str, seed: u64, dep: &mut Deployment) -> Vec<Box<dyn Drive
                             .collect(),
                         cycles: cycles.clone(),
                         n: 2 * c,
-                        solo: 30 * c,
+                        solo: 24 * c,
                         registered: 2 * c,
                     }) as Box<dyn Driver>
                 })
