@@ -14,7 +14,8 @@
 //!    * streamed answers equal the tree engine's on the re-parsed document.
 //!
 //!    It also reports events/second for the raw reader and for full
-//!    evaluation, solo and batched.
+//!    evaluation, solo and batched, and MB/s of XML for the raw reader and
+//!    for `parse_document` (best of five passes each).
 //! 2. **Timing series** (Criterion): `parse_then_hype` (arena build + tree
 //!    pass) vs `stream_hype` (one incremental pass), solo and with the
 //!    10-query batch workload.
@@ -44,6 +45,17 @@ fn compile_workload() -> Vec<Mfa> {
         .collect()
 }
 
+/// The fastest of five timed runs of `f`, in seconds.
+fn best_secs(mut f: impl FnMut()) -> f64 {
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Part 1: acceptance-criteria assertions plus the events/sec report.
 fn constant_memory_report(xml: &str, solo: &Mfa, workload: &[Mfa]) {
     let tree = parse_document(xml).expect("workload document parses");
@@ -54,15 +66,20 @@ fn constant_memory_report(xml: &str, solo: &Mfa, workload: &[Mfa]) {
         tree.max_depth()
     );
 
-    // Raw reader speed: events/sec with no evaluation attached.
-    let start = Instant::now();
-    let mut reader = XmlStreamReader::new(xml.as_bytes());
+    // Raw reader speed (no evaluation attached) and tree-parse speed, each
+    // the best of a few passes.
     let mut events = 0usize;
-    while let Some(event) = reader.next_event().expect("document re-streams") {
-        let _ = std::hint::black_box(&event);
-        events += 1;
-    }
-    let reader_secs = start.elapsed().as_secs_f64();
+    let reader_secs = best_secs(|| {
+        let mut reader = XmlStreamReader::new(xml.as_bytes());
+        events = 0;
+        while let Some(event) = reader.next_event().expect("document re-streams") {
+            let _ = std::hint::black_box(&event);
+            events += 1;
+        }
+    });
+    let parse_secs = best_secs(|| {
+        std::hint::black_box(parse_document(xml).expect("document re-parses"));
+    });
 
     // Solo streamed evaluation: zero allocations, O(depth) frames, answers
     // equal to the tree engine's.
@@ -99,6 +116,12 @@ fn constant_memory_report(xml: &str, solo: &Mfa, workload: &[Mfa]) {
     assert_eq!(node_allocations(), allocations_before, "batched streaming allocated nodes");
     assert!(batch.stats.peak_frames <= tree.max_depth());
 
+    let mb = xml.len() as f64 / 1e6;
+    println!(
+        "reader only: {:>7.1} MB/s   parse_document: {:>7.1} MB/s",
+        mb / reader_secs,
+        mb / parse_secs,
+    );
     println!(
         "events: {events}   reader only: {:>7.2} Mev/s   solo eval: {:>7.2} Mev/s   {}-query batch: {:>7.2} Mev/s",
         events as f64 / reader_secs / 1e6,

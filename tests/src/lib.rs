@@ -1,6 +1,7 @@
 //! Shared fixtures and helpers for the cross-crate integration tests.
 
 pub mod fuzz;
+pub mod xml_oracle;
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

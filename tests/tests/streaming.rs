@@ -26,7 +26,7 @@ use smoqe_toxgene::{all_domains, generate_from_dtd, generate_hospital, DtdGenCon
 use smoqe_xml::hospital::{hospital_document_dtd, hospital_view_dtd};
 use smoqe_xml::stream::{EventSource, TreeEvents, XmlEvent};
 use smoqe_xml::{
-    node_allocations, parse_document, to_xml_string, NodeId, XmlStreamReader, XmlTree,
+    node_allocations, parse_document, to_xml_string, NodeId, ParseError, XmlStreamReader, XmlTree,
     XmlTreeBuilder,
 };
 use smoqe_xpath::parse_path;
@@ -419,5 +419,118 @@ proptest! {
         let (streamed, _) = evaluate_stream(&mut events, &mfa).unwrap();
         prop_assert_eq!(&streamed.answers, &to_preorder(&on_tree.answers, &pre));
         prop_assert_eq!(&streamed.stats, &on_tree.stats);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Chunk boundaries: how the input is cut into reads must not matter.
+// ---------------------------------------------------------------------------
+
+/// A `Read` handing out its input in seeded pseudo-random pieces of 1 to 17
+/// bytes, so tokens, multibyte characters and entities straddle reads.
+struct JitteryRead<'a> {
+    rest: &'a [u8],
+    state: u64,
+}
+
+impl std::io::Read for JitteryRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let want = 1 + (self.state >> 59) as usize % 17;
+        let n = want.min(self.rest.len()).min(buf.len());
+        buf[..n].copy_from_slice(&self.rest[..n]);
+        self.rest = &self.rest[n..];
+        Ok(n)
+    }
+}
+
+/// Every event a source yields, then its terminating error (if any).
+fn drain(source: &mut impl EventSource) -> (Vec<OwnedEvent>, Option<ParseError>) {
+    let mut events = Vec::new();
+    loop {
+        match source.next_event() {
+            Ok(Some(XmlEvent::Open(n))) => events.push(OwnedEvent::Open(n.to_owned())),
+            Ok(Some(XmlEvent::Text(t))) => events.push(OwnedEvent::Text(t.to_owned())),
+            Ok(Some(XmlEvent::Close)) => events.push(OwnedEvent::Close),
+            Ok(None) => return (events, None),
+            Err(e) => return (events, Some(e)),
+        }
+    }
+}
+
+/// Reading `input` in jittery pieces yields exactly the events, error and
+/// error offset of reading it as one slice.
+fn assert_chunking_is_invisible(input: &[u8], seed: u64) {
+    let whole = drain(&mut XmlStreamReader::new(input));
+    let jittery = drain(&mut XmlStreamReader::new(JitteryRead {
+        rest: input,
+        state: seed,
+    }));
+    assert_eq!(
+        jittery,
+        whole,
+        "chunked read (seed {seed}) diverges on {:?}",
+        String::from_utf8_lossy(input)
+    );
+}
+
+/// A document whose text holds multibyte characters (two-, three- and
+/// four-byte), entities, comments splitting runs and invalid UTF-8 bytes.
+fn multibyte_document(seed: u64) -> Vec<u8> {
+    let mut doc = b"<?xml version=\"1.0\"?><r a=\"\xc3\xa9\">".to_vec();
+    for (i, text) in [
+        "caf\u{e9} \u{a0}na\u{ef}ve",
+        "\u{65e5}\u{672c}\u{8a9e} &amp; \u{1f600}",
+        "x\u{2028}y<!-- \u{e9} -->z",
+        "&lt;\u{df}&gt;",
+    ]
+    .iter()
+    .enumerate()
+    {
+        doc.extend_from_slice(format!("<t{i}>{text}</t{i}>").as_bytes());
+    }
+    // Invalid UTF-8: a lone continuation byte, a truncated sequence, 0xff.
+    doc.extend_from_slice(b"<bad>a\x80b\xc3 c\xffd</bad><mix>\xe6\x97<!-- -->\xa5</mix></r>");
+    doc.extend_from_slice(nasty_string(seed, 3).as_bytes());
+    doc
+}
+
+#[test]
+fn chunked_reads_match_whole_reads_on_every_domain_and_shape() {
+    for domain in all_domains() {
+        for &shape in domain.shapes {
+            let xml = to_xml_string(&domain.generate(shape, 1, STANDARD_SEED));
+            assert_chunking_is_invisible(xml.as_bytes(), domain.name.len() as u64);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 64,
+        .. ProptestConfig::default()
+    })]
+
+    /// Seeded chunk sizes over escaping-heavy documents (serialized, and
+    /// with the raw unescaped text spliced in), multibyte and invalid UTF-8
+    /// text, and every prefix of one such document.
+    #[test]
+    fn chunked_reads_match_whole_reads(seed in 0u64..1_000_000) {
+        let mut builder = XmlTreeBuilder::new();
+        let root = builder.root("r");
+        for c in 0..3 {
+            let child = builder.child(root, "a");
+            builder.set_text(child, &nasty_string(seed.wrapping_add(c), 4));
+        }
+        let escaped = to_xml_string(&builder.finish());
+        assert_chunking_is_invisible(escaped.as_bytes(), seed);
+        let raw = format!("<r><a>{}</a></r>", nasty_string(seed, 6));
+        assert_chunking_is_invisible(raw.as_bytes(), seed);
+
+        let multibyte = multibyte_document(seed);
+        assert_chunking_is_invisible(&multibyte, seed);
+        for end in 0..multibyte.len() {
+            assert_chunking_is_invisible(&multibyte[..end], seed ^ end as u64);
+        }
     }
 }
