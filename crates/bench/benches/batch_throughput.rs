@@ -16,32 +16,48 @@
 //! (`SMOQE_BENCH_JSON=/path/file.json` appends one JSON line per timing.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 use std::time::Duration;
 
 use smoqe::{EvaluationMode, QueryService};
-use smoqe_automata::{compile_query, Mfa};
+use smoqe_automata::{compile_query, CompiledMfa};
 use smoqe_bench::{batch_workload_queries, medium_document};
-use smoqe_hype::{evaluate, evaluate_batch, evaluate_with_index, BatchQuery, ReachabilityIndex};
+use smoqe_hype::{
+    evaluate_batch_compiled, evaluate_compiled_at_with, CompiledBatchQuery, ReachabilityIndex,
+};
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xml::XmlTree;
 use smoqe_xpath::parse_path;
 
-fn compile_workload() -> Vec<Mfa> {
+/// The workload's execution IRs, compiled once, outside every timed loop.
+fn compile_workload() -> Vec<Arc<CompiledMfa>> {
     batch_workload_queries()
         .into_iter()
-        .map(|q| compile_query(&parse_path(q).expect("workload query parses")))
+        .map(|q| {
+            let mfa = compile_query(&parse_path(q).expect("workload query parses"));
+            Arc::new(CompiledMfa::new(&mfa))
+        })
         .collect()
 }
 
-fn build_indexes(mfas: &[Mfa], doc: &XmlTree) -> Vec<ReachabilityIndex> {
+fn build_indexes(mfas: &[Arc<CompiledMfa>], doc: &XmlTree) -> Vec<ReachabilityIndex> {
     let dtd = hospital_document_dtd();
     mfas.iter()
-        .map(|m| ReachabilityIndex::new(m, &dtd, doc.labels()))
+        .map(|m| ReachabilityIndex::for_compiled(m, &dtd, doc.labels(), false))
         .collect()
+}
+
+/// Plain or indexed HyPE of one IR at the root of `doc`.
+fn evaluate(
+    doc: &XmlTree,
+    ir: &Arc<CompiledMfa>,
+    index: Option<&ReachabilityIndex>,
+) -> smoqe_hype::HypeResult {
+    evaluate_compiled_at_with(doc, doc.root(), ir, index)
 }
 
 /// Part 1: the visit-count report and the acceptance-criterion assertions.
-fn visit_report(doc: &XmlTree, mfas: &[Mfa], indexes: &[ReachabilityIndex]) {
+fn visit_report(doc: &XmlTree, mfas: &[Arc<CompiledMfa>], indexes: &[ReachabilityIndex]) {
     println!(
         "# Batched throughput on a {}-node hospital document, {} queries",
         doc.len(),
@@ -50,23 +66,22 @@ fn visit_report(doc: &XmlTree, mfas: &[Mfa], indexes: &[ReachabilityIndex]) {
     for (mode, batch_queries) in [
         (
             "HyPE",
-            mfas.iter().map(BatchQuery::new).collect::<Vec<_>>(),
+            mfas.iter()
+                .map(|m| CompiledBatchQuery::new(Arc::clone(m)))
+                .collect::<Vec<_>>(),
         ),
         (
             "OptHyPE",
             mfas.iter()
                 .zip(indexes)
-                .map(|(m, i)| BatchQuery::with_index(m, i))
+                .map(|(m, i)| CompiledBatchQuery::with_index(Arc::clone(m), i))
                 .collect::<Vec<_>>(),
         ),
     ] {
-        let batch = evaluate_batch(doc, &batch_queries);
+        let batch = evaluate_batch_compiled(doc, &batch_queries);
         let sequential: usize = batch_queries
             .iter()
-            .map(|q| match q.index {
-                Some(index) => evaluate_with_index(doc, q.mfa, index).stats.nodes_visited,
-                None => evaluate(doc, q.mfa).stats.nodes_visited,
-            })
+            .map(|q| evaluate(doc, &q.compiled, q.index).stats.nodes_visited)
             .sum();
         assert_eq!(
             batch.stats.sequential_node_visits, sequential,
@@ -91,7 +106,12 @@ fn visit_report(doc: &XmlTree, mfas: &[Mfa], indexes: &[ReachabilityIndex]) {
 }
 
 /// Part 2: wall-clock timing of the three serving strategies.
-fn timing(c: &mut Criterion, doc: &XmlTree, mfas: &[Mfa], indexes: &[ReachabilityIndex]) {
+fn timing(
+    c: &mut Criterion,
+    doc: &XmlTree,
+    mfas: &[Arc<CompiledMfa>],
+    indexes: &[ReachabilityIndex],
+) {
     let mut group = c.benchmark_group("batch_throughput");
     group
         .sample_size(10)
@@ -105,7 +125,7 @@ fn timing(c: &mut Criterion, doc: &XmlTree, mfas: &[Mfa], indexes: &[Reachabilit
         |b, doc| {
             b.iter(|| {
                 mfas.iter()
-                    .map(|m| evaluate(doc, m).answers.len())
+                    .map(|m| evaluate(doc, m, None).answers.len())
                     .sum::<usize>()
             })
         },
@@ -114,9 +134,10 @@ fn timing(c: &mut Criterion, doc: &XmlTree, mfas: &[Mfa], indexes: &[Reachabilit
         BenchmarkId::new("batched_HyPE", &doc_label),
         doc,
         |b, doc| {
-            let queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
+            let queries: Vec<CompiledBatchQuery> =
+                mfas.iter().map(|m| CompiledBatchQuery::new(Arc::clone(m))).collect();
             b.iter(|| {
-                evaluate_batch(doc, &queries)
+                evaluate_batch_compiled(doc, &queries)
                     .results
                     .iter()
                     .map(|r| r.answers.len())
@@ -131,7 +152,7 @@ fn timing(c: &mut Criterion, doc: &XmlTree, mfas: &[Mfa], indexes: &[Reachabilit
             b.iter(|| {
                 mfas.iter()
                     .zip(indexes)
-                    .map(|(m, i)| evaluate_with_index(doc, m, i).answers.len())
+                    .map(|(m, i)| evaluate(doc, m, Some(i)).answers.len())
                     .sum::<usize>()
             })
         },
@@ -140,13 +161,13 @@ fn timing(c: &mut Criterion, doc: &XmlTree, mfas: &[Mfa], indexes: &[Reachabilit
         BenchmarkId::new("batched_OptHyPE", &doc_label),
         doc,
         |b, doc| {
-            let queries: Vec<BatchQuery> = mfas
+            let queries: Vec<CompiledBatchQuery> = mfas
                 .iter()
                 .zip(indexes)
-                .map(|(m, i)| BatchQuery::with_index(m, i))
+                .map(|(m, i)| CompiledBatchQuery::with_index(Arc::clone(m), i))
                 .collect();
             b.iter(|| {
-                evaluate_batch(doc, &queries)
+                evaluate_batch_compiled(doc, &queries)
                     .results
                     .iter()
                     .map(|r| r.answers.len())

@@ -36,7 +36,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use smoqe::{DocumentStore, EvaluationMode, QueryService};
 use smoqe_automata::{compile_query, CompiledMfa};
-use smoqe_hype::{evaluate_corpus, evaluate_corpus_parallel, CorpusTask};
+use smoqe_hype::{evaluate_compiled_at_with, evaluate_corpus_parallel, CorpusTask, HypeResult};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_xml::{snapshot, to_xml_string, XmlTree};
 use smoqe_xpath::parse_path;
@@ -98,7 +98,15 @@ fn corpus_tasks<'a>(docs: &'a [XmlTree], irs: &[Arc<CompiledMfa>]) -> Vec<Corpus
         .collect()
 }
 
-fn visited(results: &[smoqe_hype::HypeResult]) -> u64 {
+/// The sequential reference: every task through the solo engine, in order.
+fn evaluate_corpus(tasks: &[CorpusTask]) -> Vec<HypeResult> {
+    tasks
+        .iter()
+        .map(|t| evaluate_compiled_at_with(t.tree, t.tree.root(), &t.compiled, t.index))
+        .collect()
+}
+
+fn visited(results: &[HypeResult]) -> u64 {
     results.iter().map(|r| r.stats.nodes_visited as u64).sum()
 }
 
@@ -140,9 +148,13 @@ fn correctness_and_throughput_report(docs: &[XmlTree], irs: &[Arc<CompiledMfa>])
         })
         .collect();
     let service = QueryService::hospital_demo();
-    let service_sequential = service
-        .evaluate_corpus(&store, &requests, EvaluationMode::HyPE)
-        .unwrap();
+    let service_sequential: Vec<HypeResult> = requests
+        .iter()
+        .map(|&(id, q)| {
+            let doc = store.get(id).expect("resident");
+            service.evaluate(q, doc.tree(), EvaluationMode::HyPE).unwrap()
+        })
+        .collect();
     for &threads in BUDGETS {
         let service = QueryService::with_config(
             smoqe::SmoqeEngine::hospital_demo().view().clone(),

@@ -23,13 +23,14 @@
 //! (`SMOQE_BENCH_JSON=/path/file.json` appends one JSON line per cell.)
 
 use std::io::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use smoqe::SmoqeEngine;
-use smoqe_automata::{compile_query, Mfa};
-use smoqe_hype::{evaluate, evaluate_with_index, ReachabilityIndex};
+use smoqe_automata::{compile_query, CompiledMfa, Mfa};
+use smoqe_hype::{evaluate_compiled_at_with, HypeResult, ReachabilityIndex};
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, DocShape, Domain};
 use smoqe_xml::XmlTree;
@@ -46,6 +47,20 @@ struct GridQuery {
     /// `doc:<q>` or `view:<q>` — matches the differential suites' tags.
     tag: String,
     mfa: Mfa,
+    /// The execution IR, compiled once, outside every timed loop.
+    ir: Arc<CompiledMfa>,
+}
+
+impl GridQuery {
+    fn new(tag: String, mfa: Mfa) -> Self {
+        let ir = Arc::new(CompiledMfa::new(&mfa));
+        GridQuery { tag, mfa, ir }
+    }
+
+    /// Plain HyPE, or OptHyPE(-C) under `index`, at the root of `doc`.
+    fn evaluate(&self, doc: &XmlTree, index: Option<&ReachabilityIndex>) -> HypeResult {
+        evaluate_compiled_at_with(doc, doc.root(), &self.ir, index)
+    }
 }
 
 /// The two representative queries of a domain: its first document query
@@ -55,18 +70,18 @@ fn grid_queries(domain: &Domain) -> Vec<GridQuery> {
     let doc_query = domain.document_queries.first().expect("non-empty corpus");
     let view_query = domain.view_queries.first().expect("non-empty corpus");
     vec![
-        GridQuery {
-            tag: format!("doc:{doc_query}"),
-            mfa: compile_query(&parse_path(doc_query).expect("registry queries parse")),
-        },
-        GridQuery {
-            tag: format!("view:{view_query}"),
-            mfa: engine
+        GridQuery::new(
+            format!("doc:{doc_query}"),
+            compile_query(&parse_path(doc_query).expect("registry queries parse")),
+        ),
+        GridQuery::new(
+            format!("view:{view_query}"),
+            engine
                 .compile(view_query)
                 .expect("registry view queries rewrite")
                 .mfa()
                 .clone(),
-        },
+        ),
     ]
 }
 
@@ -109,9 +124,9 @@ fn grid_report(domains: &[Domain]) {
                 let index = ReachabilityIndex::new(&q.mfa, &dtd, doc.labels());
                 let cindex = ReachabilityIndex::new_compressed(&q.mfa, &dtd, doc.labels());
 
-                let plain = evaluate(&doc, &q.mfa);
-                let opt = evaluate_with_index(&doc, &q.mfa, &index);
-                let optc = evaluate_with_index(&doc, &q.mfa, &cindex);
+                let plain = q.evaluate(&doc, None);
+                let opt = q.evaluate(&doc, Some(&index));
+                let optc = q.evaluate(&doc, Some(&cindex));
                 assert_eq!(
                     plain.answers, opt.answers,
                     "{}/{} ×{scale}: OptHyPE diverges from HyPE",
@@ -131,20 +146,20 @@ fn grid_report(domains: &[Domain]) {
                 let cells: [(&str, f64, u64); 3] = [
                     (
                         "HyPE",
-                        evals_per_sec(&mut || evaluate(&doc, &q.mfa).answers.len()),
+                        evals_per_sec(&mut || q.evaluate(&doc, None).answers.len()),
                         plain.stats.nodes_visited as u64,
                     ),
                     (
                         "OptHyPE",
                         evals_per_sec(&mut || {
-                            evaluate_with_index(&doc, &q.mfa, &index).answers.len()
+                            q.evaluate(&doc, Some(&index)).answers.len()
                         }),
                         opt.stats.nodes_visited as u64,
                     ),
                     (
                         "OptHyPE-C",
                         evals_per_sec(&mut || {
-                            evaluate_with_index(&doc, &q.mfa, &cindex).answers.len()
+                            q.evaluate(&doc, Some(&cindex)).answers.len()
                         }),
                         optc.stats.nodes_visited as u64,
                     ),
@@ -194,13 +209,13 @@ fn timing(c: &mut Criterion, domains: &[Domain]) {
         let cindex = ReachabilityIndex::new_compressed(&view.mfa, &dtd, doc.labels());
 
         group.bench_with_input(BenchmarkId::new("HyPE", domain.name), &doc, |b, doc| {
-            b.iter(|| evaluate(doc, &view.mfa).answers.len())
+            b.iter(|| view.evaluate(doc, None).answers.len())
         });
         group.bench_with_input(BenchmarkId::new("OptHyPE", domain.name), &doc, |b, doc| {
-            b.iter(|| evaluate_with_index(doc, &view.mfa, &index).answers.len())
+            b.iter(|| view.evaluate(doc, Some(&index)).answers.len())
         });
         group.bench_with_input(BenchmarkId::new("OptHyPE-C", domain.name), &doc, |b, doc| {
-            b.iter(|| evaluate_with_index(doc, &view.mfa, &cindex).answers.len())
+            b.iter(|| view.evaluate(doc, Some(&cindex)).answers.len())
         });
     }
     group.finish();

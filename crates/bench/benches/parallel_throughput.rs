@@ -36,8 +36,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smoqe_automata::{compile_query, CompiledMfa};
 use smoqe_bench::batch_workload_queries;
 use smoqe_hype::{
-    evaluate_batch_compiled, evaluate_batch_parallel, evaluate_compiled, evaluate_parallel,
-    CompiledBatchQuery,
+    evaluate_batch_compiled, evaluate_compiled_at_with, evaluate_tree, CompiledBatchQuery,
+    HypeResult,
 };
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_xml::XmlTree;
@@ -49,6 +49,13 @@ const BUDGETS: &[usize] = &[1, 2, 4, 8];
 /// The solo query of the report: broad enough to keep most of the document
 /// live, so sharding (not pruning) dominates the comparison.
 const SOLO_QUERY: &str = "//diagnosis";
+
+/// The solo query at the root of `tree` under the thread budget `threads`
+/// (sequential at one thread, sharded above).
+fn evaluate_solo(tree: &XmlTree, ir: &Arc<CompiledMfa>, threads: usize) -> HypeResult {
+    let query = CompiledBatchQuery::new(Arc::clone(ir));
+    evaluate_tree(tree, tree.root(), &[query], threads).results.remove(0)
+}
 
 /// The bench document spreads its patients over many departments — many
 /// balanced top-level shards, the shape the work-stealing pool likes.
@@ -120,15 +127,15 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
     // Differential gate at every measured budget: parallelism must change
     // nothing observable but wall-clock time.
     let sequential = evaluate_batch_compiled(tree, &queries);
-    let solo_sequential = evaluate_compiled(tree, &solo_ir);
+    let solo_sequential = evaluate_compiled_at_with(tree, tree.root(), &solo_ir, None);
     for &threads in BUDGETS {
-        let parallel = evaluate_batch_parallel(tree, &queries, threads);
+        let parallel = evaluate_tree(tree, tree.root(), &queries, threads);
         assert_eq!(parallel.stats, sequential.stats, "aggregate stats @{threads}t");
         for (i, (p, s)) in parallel.results.iter().zip(&sequential.results).enumerate() {
             assert_eq!(p.answers, s.answers, "answers differ at query {i} @{threads}t");
             assert_eq!(p.stats, s.stats, "stats differ at query {i} @{threads}t");
         }
-        let solo_parallel = evaluate_parallel(tree, &solo_ir, threads);
+        let solo_parallel = evaluate_solo(tree, &solo_ir, threads);
         assert_eq!(solo_parallel.answers, solo_sequential.answers, "solo @{threads}t");
         assert_eq!(solo_parallel.stats, solo_sequential.stats, "solo @{threads}t");
     }
@@ -148,7 +155,7 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
     let mut speedup_at = Vec::new();
     for &threads in BUDGETS {
         let nps = node_throughput(WINDOW, &mut || {
-            evaluate_batch_parallel(tree, &queries, threads)
+            evaluate_tree(tree, tree.root(), &queries, threads)
                 .stats
                 .sequential_node_visits as u64
         });
@@ -179,7 +186,7 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
             evaluate_batch_compiled(tree, &queries).stats.sequential_node_visits as u64
         });
         let parallel_retry = node_throughput(retry_window, &mut || {
-            evaluate_batch_parallel(tree, &queries, 4)
+            evaluate_tree(tree, tree.root(), &queries, 4)
                 .stats
                 .sequential_node_visits as u64
         });
@@ -245,7 +252,7 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Arc<CompiledMfa>]) {
             tree,
             |b, tree| {
                 b.iter(|| {
-                    evaluate_batch_parallel(tree, &queries, threads)
+                    evaluate_tree(tree, tree.root(), &queries, threads)
                         .results
                         .iter()
                         .map(|r| r.answers.len())
@@ -256,13 +263,13 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Arc<CompiledMfa>]) {
     }
 
     group.bench_with_input(BenchmarkId::new("sequential", "solo"), tree, |b, tree| {
-        b.iter(|| evaluate_compiled(tree, &solo_ir).answers.len())
+        b.iter(|| evaluate_compiled_at_with(tree, tree.root(), &solo_ir, None).answers.len())
     });
     for &threads in [1usize, 4].iter() {
         group.bench_with_input(
             BenchmarkId::new(format!("parallel_{threads}t"), "solo"),
             tree,
-            |b, tree| b.iter(|| evaluate_parallel(tree, &solo_ir, threads).answers.len()),
+            |b, tree| b.iter(|| evaluate_solo(tree, &solo_ir, threads).answers.len()),
         );
     }
     group.finish();

@@ -8,9 +8,11 @@
 //!
 //! Run with: `cargo bench -p smoqe-bench --bench pruning_stats`
 
+use std::sync::Arc;
+
 use smoqe_automata::compile_query;
 use smoqe_bench::{medium_document, pruning_queries};
-use smoqe_hype::{evaluate, evaluate_with_index, ReachabilityIndex};
+use smoqe_hype::{evaluate_compiled_at_with, CompiledMfa, ReachabilityIndex};
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xpath::parse_path;
 
@@ -34,11 +36,13 @@ fn main() {
     for query_text in pruning_queries() {
         let query = parse_path(query_text).unwrap();
         let mfa = compile_query(&query);
-        let plain = evaluate(&doc, &mfa);
+        // The IR is compiled once, outside every timed loop.
+        let ir = Arc::new(CompiledMfa::new(&mfa));
+        let plain = evaluate_compiled_at_with(&doc, doc.root(), &ir, None);
         let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let opt = evaluate_with_index(&doc, &mfa, &index);
+        let opt = evaluate_compiled_at_with(&doc, doc.root(), &ir, Some(&index));
         let cindex = ReachabilityIndex::new_compressed(&mfa, &dtd, doc.labels());
-        let optc = evaluate_with_index(&doc, &mfa, &cindex);
+        let optc = evaluate_compiled_at_with(&doc, doc.root(), &ir, Some(&cindex));
         assert_eq!(plain.answers, opt.answers);
         assert_eq!(plain.answers, optc.answers);
 

@@ -12,9 +12,12 @@
 //!   the document).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 use std::time::Duration;
 
+use smoqe_automata::CompiledMfa;
 use smoqe_bench::medium_document;
+use smoqe_hype::evaluate_compiled_at_with;
 use smoqe_rewrite::rewrite_to_mfa;
 use smoqe_views::{hospital_view, materialize};
 use smoqe_xpath::{evaluate, parse_path};
@@ -52,12 +55,20 @@ fn view_answering(c: &mut Criterion) {
     group.bench_function("rewrite_plus_hype", |b| {
         b.iter(|| {
             let mfa = rewrite_to_mfa(&query, &view).unwrap();
-            smoqe_hype::evaluate(&doc, &mfa).answers.len()
+            let ir = Arc::new(CompiledMfa::new(&mfa));
+            evaluate_compiled_at_with(&doc, doc.root(), &ir, None)
+                .answers
+                .len()
         })
     });
     group.bench_function("precompiled_hype", |b| {
         let mfa = rewrite_to_mfa(&query, &view).unwrap();
-        b.iter(|| smoqe_hype::evaluate(&doc, &mfa).answers.len())
+        let ir = Arc::new(CompiledMfa::new(&mfa));
+        b.iter(|| {
+            evaluate_compiled_at_with(&doc, doc.root(), &ir, None)
+                .answers
+                .len()
+        })
     });
     group.bench_function("materialize_then_evaluate", |b| {
         b.iter(|| {

@@ -136,9 +136,7 @@ fn correctness_report(server: &Server, doc_id: u64, doc_bytes: &[u8]) {
                 .query(tenant, doc_id, EvaluationMode::HyPE, query)
                 .unwrap_or_else(|e| panic!("`{query}` on {tenant}: {e}"));
             let direct = reference
-                .evaluate_corpus(&store, &[(ref_id, query)], EvaluationMode::HyPE)
-                .unwrap()
-                .pop()
+                .evaluate(query, store.get(ref_id).unwrap().tree(), EvaluationMode::HyPE)
                 .unwrap();
             assert_eq!(
                 wire,

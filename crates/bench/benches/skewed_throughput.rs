@@ -19,8 +19,9 @@
 //!    * parallel answers **and statistics** equal the sequential engines'
 //!      at thread budgets {1, 2, 4, 8};
 //!    * `max_shard_fraction` (the skew diagnostic new in this PR) is
-//!      reported per budget and must stay well below the dominant
-//!      subtree's ~99% share once re-splitting kicks in;
+//!      reported per budget: exactly 0 at one thread, which walks the
+//!      document sequentially, and well below the dominant subtree's ~99%
+//!      share once re-splitting kicks in at larger budgets;
 //!    * on hardware with **≥ 4 cores** the report *asserts* a ≥ 1.4×
 //!      node-throughput win at 4 threads — impossible without
 //!      re-splitting, since the dominant subtree alone is > 80% of the
@@ -42,8 +43,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use smoqe_automata::{compile_query, CompiledMfa};
 use smoqe_hype::{
-    evaluate_batch_compiled, evaluate_batch_parallel, evaluate_compiled, evaluate_parallel,
-    CompiledBatchQuery,
+    evaluate_batch_compiled, evaluate_compiled_at_with, evaluate_tree, CompiledBatchQuery,
+    HypeResult,
 };
 use smoqe_toxgene::{generate_skewed_hospital, HospitalConfig};
 use smoqe_xml::XmlTree;
@@ -63,6 +64,13 @@ const BATCH_QUERIES: &[&str] = &[
     "//patient[visit/treatment/medication]",
     "department/patient[visit]/visit/date",
 ];
+
+/// The solo query at the root of `tree` under the thread budget `threads`
+/// (sequential at one thread, sharded above).
+fn evaluate_solo(tree: &XmlTree, ir: &Arc<CompiledMfa>, threads: usize) -> HypeResult {
+    let query = CompiledBatchQuery::new(Arc::clone(ir));
+    evaluate_tree(tree, tree.root(), &[query], threads).results.remove(0)
+}
 
 /// The adversarial document: department 0 absorbs 85% of the patients, so
 /// one top-level subtree dwarfs the other three combined.
@@ -144,26 +152,31 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
     // nothing observable but wall-clock time (and the skew diagnostic,
     // which is excluded from `HypeStats` equality).
     let sequential = evaluate_batch_compiled(tree, &queries);
-    let solo_sequential = evaluate_compiled(tree, &solo_ir);
+    let solo_sequential = evaluate_compiled_at_with(tree, tree.root(), &solo_ir, None);
     for &threads in BUDGETS {
-        let parallel = evaluate_batch_parallel(tree, &queries, threads);
+        let parallel = evaluate_tree(tree, tree.root(), &queries, threads);
         assert_eq!(parallel.stats, sequential.stats, "aggregate stats @{threads}t");
         for (i, (p, s)) in parallel.results.iter().zip(&sequential.results).enumerate() {
             assert_eq!(p.answers, s.answers, "answers differ at query {i} @{threads}t");
             assert_eq!(p.stats, s.stats, "stats differ at query {i} @{threads}t");
         }
-        let solo_parallel = evaluate_parallel(tree, &solo_ir, threads);
+        let solo_parallel = evaluate_solo(tree, &solo_ir, threads);
         assert_eq!(solo_parallel.answers, solo_sequential.answers, "solo @{threads}t");
         assert_eq!(solo_parallel.stats, solo_sequential.stats, "solo @{threads}t");
 
-        // The skew diagnostic: with re-splitting no single task may cover
+        // The skew diagnostic: a one-thread budget walks sequentially and
+        // reports no skew; with re-splitting no single task may cover
         // anything close to the dominant subtree's ~85% share.
         let frac = solo_parallel.stats.max_shard_fraction;
-        assert!(
-            frac > 0.0 && frac < 0.5,
-            "re-splitting bounds the largest task well below the dominant \
-             subtree's share (max_shard_fraction = {frac:.3} @{threads}t)"
-        );
+        if threads == 1 {
+            assert_eq!(frac, 0.0, "one thread never shards (max_shard_fraction = {frac:.3})");
+        } else {
+            assert!(
+                frac > 0.0 && frac < 0.5,
+                "re-splitting bounds the largest task well below the dominant \
+                 subtree's share (max_shard_fraction = {frac:.3} @{threads}t)"
+            );
+        }
         emit_json(&format!(
             "{{\"id\": \"skewed_throughput/max_shard_fraction/{threads}t\", \
              \"max_shard_fraction\": {frac:.4}, \"cores\": {cores}}}"
@@ -185,7 +198,7 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
     let mut speedup_at = Vec::new();
     for &threads in BUDGETS {
         let nps = node_throughput(WINDOW, &mut || {
-            evaluate_batch_parallel(tree, &queries, threads)
+            evaluate_tree(tree, tree.root(), &queries, threads)
                 .stats
                 .sequential_node_visits as u64
         });
@@ -218,7 +231,7 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
             evaluate_batch_compiled(tree, &queries).stats.sequential_node_visits as u64
         });
         let parallel_retry = node_throughput(retry_window, &mut || {
-            evaluate_batch_parallel(tree, &queries, 4)
+            evaluate_tree(tree, tree.root(), &queries, 4)
                 .stats
                 .sequential_node_visits as u64
         });
@@ -284,7 +297,7 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Arc<CompiledMfa>]) {
             tree,
             |b, tree| {
                 b.iter(|| {
-                    evaluate_batch_parallel(tree, &queries, threads)
+                    evaluate_tree(tree, tree.root(), &queries, threads)
                         .results
                         .iter()
                         .map(|r| r.answers.len())
@@ -295,13 +308,13 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Arc<CompiledMfa>]) {
     }
 
     group.bench_with_input(BenchmarkId::new("sequential", "solo"), tree, |b, tree| {
-        b.iter(|| evaluate_compiled(tree, &solo_ir).answers.len())
+        b.iter(|| evaluate_compiled_at_with(tree, tree.root(), &solo_ir, None).answers.len())
     });
     for &threads in [1usize, 4].iter() {
         group.bench_with_input(
             BenchmarkId::new(format!("parallel_{threads}t"), "solo"),
             tree,
-            |b, tree| b.iter(|| evaluate_parallel(tree, &solo_ir, threads).answers.len()),
+            |b, tree| b.iter(|| evaluate_solo(tree, &solo_ir, threads).answers.len()),
         );
     }
     group.finish();

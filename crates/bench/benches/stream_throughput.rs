@@ -24,13 +24,20 @@
 //! (`SMOQE_BENCH_JSON=/path/file.json` appends one JSON line per timing.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smoqe_automata::{compile_query, Mfa};
+use smoqe_automata::{compile_query, CompiledMfa};
 use smoqe_bench::{batch_workload_queries, medium_document};
-use smoqe_hype::{evaluate, evaluate_stream, evaluate_stream_batch, BatchQuery};
+use smoqe_hype::{
+    evaluate_batch_compiled, evaluate_compiled_at_with, CompiledBatchQuery, HypeResult,
+    StreamHype, StreamResult, StreamStats,
+};
 use smoqe_xml::stream::EventSource;
-use smoqe_xml::{node_allocations, parse_document, to_xml_string, XmlStreamReader};
+use smoqe_xml::{
+    node_allocations, parse_document, to_xml_string, LabelInterner, ParseError, XmlStreamReader,
+    XmlTree,
+};
 use smoqe_xpath::parse_path;
 
 /// The solo query the report and the solo timings use: broad enough to keep
@@ -38,11 +45,40 @@ use smoqe_xpath::parse_path;
 /// about pruning luck.
 const SOLO_QUERY: &str = "//diagnosis";
 
-fn compile_workload() -> Vec<Mfa> {
+/// The execution IR of `query`, compiled once, outside every timed loop.
+fn compile(query: &str) -> Arc<CompiledMfa> {
+    Arc::new(CompiledMfa::new(&compile_query(
+        &parse_path(query).expect("workload query parses"),
+    )))
+}
+
+fn compile_workload() -> Vec<CompiledBatchQuery<'static>> {
     batch_workload_queries()
         .into_iter()
-        .map(|q| compile_query(&parse_path(q).expect("workload query parses")))
+        .map(|q| CompiledBatchQuery::new(compile(q)))
         .collect()
+}
+
+/// Plain HyPE of `ir` at the root of `tree`.
+fn evaluate(tree: &XmlTree, ir: &Arc<CompiledMfa>) -> HypeResult {
+    evaluate_compiled_at_with(tree, tree.root(), ir, None)
+}
+
+/// `queries` streamed over `source` in one pass.
+fn evaluate_stream_batch(
+    source: &mut impl EventSource,
+    queries: &[CompiledBatchQuery],
+) -> Result<StreamResult, ParseError> {
+    StreamHype::new(queries, LabelInterner::new()).run(source)
+}
+
+/// `ir` streamed alone over `source`.
+fn evaluate_stream(
+    source: &mut impl EventSource,
+    ir: &Arc<CompiledMfa>,
+) -> Result<(HypeResult, StreamStats), ParseError> {
+    let mut out = evaluate_stream_batch(source, &[CompiledBatchQuery::new(Arc::clone(ir))])?;
+    Ok((out.results.remove(0), out.stats))
 }
 
 /// The fastest of five timed runs of `f`, in seconds.
@@ -57,7 +93,7 @@ fn best_secs(mut f: impl FnMut()) -> f64 {
 }
 
 /// Part 1: acceptance-criteria assertions plus the events/sec report.
-fn constant_memory_report(xml: &str, solo: &Mfa, workload: &[Mfa]) {
+fn constant_memory_report(xml: &str, solo: &Arc<CompiledMfa>, workload: &[CompiledBatchQuery]) {
     let tree = parse_document(xml).expect("workload document parses");
     println!(
         "# Streaming throughput on a {}-node ({:.1} MB) hospital document, depth {}",
@@ -107,11 +143,10 @@ fn constant_memory_report(xml: &str, solo: &Mfa, workload: &[Mfa]) {
     assert_eq!(streamed.stats, on_tree.stats, "streamed stats must equal the tree engine's");
 
     // Batched streamed evaluation: same assertions, N queries in one pass.
-    let batch_queries: Vec<BatchQuery> = workload.iter().map(BatchQuery::new).collect();
     let allocations_before = node_allocations();
     let start = Instant::now();
     let mut reader = XmlStreamReader::new(xml.as_bytes());
-    let batch = evaluate_stream_batch(&mut reader, &batch_queries).expect("batched run succeeds");
+    let batch = evaluate_stream_batch(&mut reader, workload).expect("batched run succeeds");
     let batch_secs = start.elapsed().as_secs_f64();
     assert_eq!(node_allocations(), allocations_before, "batched streaming allocated nodes");
     assert!(batch.stats.peak_frames <= tree.max_depth());
@@ -140,7 +175,7 @@ fn constant_memory_report(xml: &str, solo: &Mfa, workload: &[Mfa]) {
 }
 
 /// Part 2: wall-clock timing of the two substrates.
-fn timing(c: &mut Criterion, xml: &str, solo: &Mfa, workload: &[Mfa]) {
+fn timing(c: &mut Criterion, xml: &str, solo: &Arc<CompiledMfa>, workload: &[CompiledBatchQuery]) {
     let mut group = c.benchmark_group("stream_throughput");
     group
         .sample_size(10)
@@ -165,10 +200,9 @@ fn timing(c: &mut Criterion, xml: &str, solo: &Mfa, workload: &[Mfa]) {
         BenchmarkId::new("parse_then_hype_batched", &batch_label),
         xml,
         |b, xml| {
-            let queries: Vec<BatchQuery> = workload.iter().map(BatchQuery::new).collect();
             b.iter(|| {
                 let tree = parse_document(xml).expect("parses");
-                smoqe_hype::evaluate_batch(&tree, &queries)
+                evaluate_batch_compiled(&tree, workload)
                     .results
                     .iter()
                     .map(|r| r.answers.len())
@@ -180,10 +214,9 @@ fn timing(c: &mut Criterion, xml: &str, solo: &Mfa, workload: &[Mfa]) {
         BenchmarkId::new("stream_hype_batched", &batch_label),
         xml,
         |b, xml| {
-            let queries: Vec<BatchQuery> = workload.iter().map(BatchQuery::new).collect();
             b.iter(|| {
                 let mut reader = XmlStreamReader::new(xml.as_bytes());
-                evaluate_stream_batch(&mut reader, &queries)
+                evaluate_stream_batch(&mut reader, workload)
                     .expect("streams")
                     .results
                     .iter()
@@ -197,7 +230,7 @@ fn timing(c: &mut Criterion, xml: &str, solo: &Mfa, workload: &[Mfa]) {
 
 fn stream_throughput(c: &mut Criterion) {
     let xml = to_xml_string(&medium_document());
-    let solo = compile_query(&parse_path(SOLO_QUERY).expect("solo query parses"));
+    let solo = compile(SOLO_QUERY);
     let workload = compile_workload();
     constant_memory_report(&xml, &solo, &workload);
     timing(c, &xml, &solo, &workload);

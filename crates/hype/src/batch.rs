@@ -2,24 +2,26 @@
 //!
 //! A production SMOQE deployment does not run one query per document
 //! traversal: many concurrent callers pose (often different) queries against
-//! the same document. This module drives **N compiled MFAs through a single
-//! depth-first pass**: the pending selecting-NFA states and filter-state
-//! requests are kept per query — as `u64`-word bitsets over the
-//! [`CompiledMfa`] execution IR — and a subtree is descended into as soon as
-//! *any* of the batched queries still has work there. Pruning therefore only
-//! skips a subtree when **every** query agrees it is dead (its basic prune
-//! and, when an index is supplied, its OptHyPE prune both fire).
+//! the same document. This module holds the sequential walk behind
+//! [`crate::evaluate_tree`], which drives **N compiled MFAs through a
+//! single depth-first pass**: the pending selecting-NFA states and
+//! filter-state requests are kept per query — as `u64`-word bitsets over
+//! the [`CompiledMfa`] execution IR — and a subtree is descended into as
+//! soon as *any* of the batched queries still has work there. Pruning
+//! therefore only skips a subtree when **every** query agrees it is dead
+//! (its basic prune and, when an index is supplied, its OptHyPE prune both
+//! fire).
 //!
 //! Every per-query artefact — the candidate-answer DAG `cans`, the
-//! [`HypeStats`](crate::HypeStats), the answer set — is built exactly as the solo evaluator
-//! would build it: whether a query participates in a child visit depends
-//! only on that query's own state at the node, so its recursion tree, vertex
-//! numbering and statistics are *identical* to a stand-alone run. The solo
-//! entry points in [`crate::engine`] are in fact implemented as the 1-query
-//! special case of this engine, the batched-vs-sequential integration
-//! suite checks the equivalence query-by-query over the whole corpus, and
-//! the `compiled_differential` suite pins answers and statistics to the
-//! interpreted reference engines in [`crate::interpreted`].
+//! [`HypeStats`](crate::HypeStats), the answer set — is built exactly as a
+//! solo run would build it: whether a query participates in a child visit
+//! depends only on that query's own state at the node, so its recursion
+//! tree, vertex numbering and statistics are *identical* to a stand-alone
+//! run. A solo query is simply a batch of one; the batched-vs-sequential
+//! integration suite checks the equivalence query by query over the whole
+//! corpus, and the `compiled_differential` suite pins answers and
+//! statistics to the interpreted reference engines of the integration test
+//! crate.
 //!
 //! What batching buys is the traversal itself: a node shared by the pending
 //! sets of k queries is visited once instead of k times, so the *physical*
@@ -27,54 +29,18 @@
 //! ([`BatchStats::nodes_visited`]) rather than their sum
 //! ([`BatchStats::sequential_node_visits`]).
 //!
-//! Callers that evaluate the same query repeatedly should compile once —
-//! [`CompiledMfa::new`], usually via the `smoqe` service layer's cache —
-//! and use [`evaluate_batch_compiled`]; the [`evaluate_batch`] convenience
-//! recompiles the IR on every call.
+//! The IR is compiled once per query — [`CompiledMfa::new`], usually via
+//! the `smoqe` service layer's cache — and shared by `Arc` across every
+//! evaluation that uses it.
 
 use std::sync::Arc;
 
-use smoqe_automata::{CompiledMfa, Mfa};
+use smoqe_automata::CompiledMfa;
 use smoqe_xml::{NodeId, XmlTree};
 
 use crate::engine::HypeResult;
 use crate::index::ReachabilityIndex;
 use crate::runtime::{HypeCore, QueryRuntime};
-
-/// One query of a batch: a builder-representation MFA plus, optionally, its
-/// OptHyPE(-C) reachability index. The execution IR is compiled on entry;
-/// see [`CompiledBatchQuery`] for the compile-once form.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchQuery<'a> {
-    /// The compiled automaton.
-    pub mfa: &'a Mfa,
-    /// The DTD reachability index, when OptHyPE pruning is wanted for this
-    /// query. Queries of one batch may mix indexed and plain evaluation.
-    pub index: Option<&'a ReachabilityIndex>,
-}
-
-impl<'a> BatchQuery<'a> {
-    /// A batch member evaluated with plain HyPE.
-    pub fn new(mfa: &'a Mfa) -> Self {
-        BatchQuery { mfa, index: None }
-    }
-
-    /// A batch member evaluated with OptHyPE(-C) pruning.
-    pub fn with_index(mfa: &'a Mfa, index: &'a ReachabilityIndex) -> Self {
-        BatchQuery {
-            mfa,
-            index: Some(index),
-        }
-    }
-
-    /// Compiles the execution IR for this batch member.
-    pub fn compile(&self) -> CompiledBatchQuery<'a> {
-        CompiledBatchQuery {
-            compiled: Arc::new(CompiledMfa::new(self.mfa)),
-            index: self.index,
-        }
-    }
-}
 
 /// One query of a batch in compile-once form: a shared [`CompiledMfa`]
 /// execution IR plus, optionally, its OptHyPE(-C) reachability index.
@@ -151,71 +117,14 @@ pub struct BatchResult {
     pub stats: BatchStats,
 }
 
-/// Evaluates every query of `queries` at the root of `tree` in one pass.
-///
-/// Results are index-aligned with `queries`, and each one is exactly what a
-/// solo [`crate::evaluate`] run would have produced — answers *and*
-/// [`HypeStats`](crate::HypeStats) — while the document is traversed only once:
-///
-/// ```
-/// use smoqe_automata::compile_query;
-/// use smoqe_hype::{evaluate_batch, BatchQuery};
-/// use smoqe_xml::XmlTreeBuilder;
-/// use smoqe_xpath::parse_path;
-///
-/// let mut b = XmlTreeBuilder::new();
-/// let root = b.root("hospital");
-/// let patient = b.child(root, "patient");
-/// b.child_with_text(patient, "pname", "Alice");
-/// let doc = b.finish();
-///
-/// let patients = compile_query(&parse_path("patient").unwrap());
-/// let names = compile_query(&parse_path("patient/pname").unwrap());
-/// let batch = evaluate_batch(&doc, &[BatchQuery::new(&patients), BatchQuery::new(&names)]);
-///
-/// assert_eq!(batch.results.len(), 2);
-/// assert_eq!(batch.results[0].answers.len(), 1); // the <patient>
-/// assert_eq!(batch.results[1].answers.len(), 1); // its <pname>
-/// // The shared pass performs no more visits than N sequential runs would.
-/// assert!(batch.stats.nodes_visited <= batch.stats.sequential_node_visits);
-/// ```
-pub fn evaluate_batch(tree: &XmlTree, queries: &[BatchQuery]) -> BatchResult {
-    evaluate_batch_at(tree, tree.root(), queries)
-}
-
-/// Evaluates every query of `queries` at `context` in one pass, compiling
-/// each builder MFA to its execution IR first. Repeated callers should
-/// compile once and use [`evaluate_batch_compiled_at`].
-pub fn evaluate_batch_at(tree: &XmlTree, context: NodeId, queries: &[BatchQuery]) -> BatchResult {
-    let compiled: Vec<CompiledBatchQuery> = queries.iter().map(BatchQuery::compile).collect();
-    evaluate_batch_compiled_at(tree, context, &compiled)
-}
-
-/// Evaluates every pre-compiled query at the root of `tree` in one pass.
-pub fn evaluate_batch_compiled(tree: &XmlTree, queries: &[CompiledBatchQuery]) -> BatchResult {
-    evaluate_batch_compiled_at(tree, tree.root(), queries)
-}
-
-/// Evaluates every pre-compiled query at `context` in one pass — the hot
-/// entry point all front-ends reduce to.
-pub fn evaluate_batch_compiled_at(
+/// Walks `context`'s subtree once on the calling thread for a non-empty
+/// batch — the budget-one arm of [`crate::evaluate_tree`].
+pub(crate) fn evaluate_sequential(
     tree: &XmlTree,
     context: NodeId,
     queries: &[CompiledBatchQuery],
 ) -> BatchResult {
     let nodes_total = tree.subtree_size(context);
-    if queries.is_empty() {
-        return BatchResult {
-            results: Vec::new(),
-            stats: BatchStats {
-                queries: 0,
-                nodes_total,
-                nodes_visited: 0,
-                sequential_node_visits: 0,
-            },
-        };
-    }
-
     let runtimes = queries
         .iter()
         .map(|q| QueryRuntime::new(tree.labels(), Arc::clone(&q.compiled), q.index))
@@ -267,7 +176,8 @@ pub(crate) fn walk(core: &mut HypeCore, tree: &XmlTree, node: NodeId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{evaluate, evaluate_with_index};
+    use crate::testing::{compile, evaluate, evaluate_at, evaluate_with_index};
+    use crate::{evaluate_batch_compiled, evaluate_tree};
     use smoqe_automata::compile_query;
     use smoqe_xml::hospital::hospital_document_dtd;
     use smoqe_xml::XmlTreeBuilder;
@@ -319,8 +229,9 @@ mod tests {
             .iter()
             .map(|q| compile_query(&parse_path(q).unwrap()))
             .collect();
-        let batch_queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
-        let batch = evaluate_batch(&doc, &batch_queries);
+        let batch_queries: Vec<CompiledBatchQuery> =
+            mfas.iter().map(|m| CompiledBatchQuery::new(compile(m))).collect();
+        let batch = evaluate_batch_compiled(&doc, &batch_queries);
         assert_eq!(batch.results.len(), QUERIES.len());
         for (i, mfa) in mfas.iter().enumerate() {
             let solo = evaluate(&doc, mfa);
@@ -349,12 +260,12 @@ mod tests {
             .iter()
             .map(|m| ReachabilityIndex::new(m, &dtd, doc.labels()))
             .collect();
-        let batch_queries: Vec<BatchQuery> = mfas
+        let batch_queries: Vec<CompiledBatchQuery> = mfas
             .iter()
             .zip(&indexes)
-            .map(|(m, i)| BatchQuery::with_index(m, i))
+            .map(|(m, i)| CompiledBatchQuery::with_index(compile(m), i))
             .collect();
-        let batch = evaluate_batch(&doc, &batch_queries);
+        let batch = evaluate_batch_compiled(&doc, &batch_queries);
         for (i, (mfa, index)) in mfas.iter().zip(&indexes).enumerate() {
             let solo = evaluate_with_index(&doc, mfa, index);
             assert_eq!(batch.results[i].answers, solo.answers, "on `{}`", QUERIES[i]);
@@ -369,8 +280,9 @@ mod tests {
             .iter()
             .map(|q| compile_query(&parse_path(q).unwrap()))
             .collect();
-        let batch_queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
-        let batch = evaluate_batch(&doc, &batch_queries);
+        let batch_queries: Vec<CompiledBatchQuery> =
+            mfas.iter().map(|m| CompiledBatchQuery::new(compile(m))).collect();
+        let batch = evaluate_batch_compiled(&doc, &batch_queries);
         let sequential: usize = mfas.iter().map(|m| evaluate(&doc, m).stats.nodes_visited).sum();
         assert_eq!(batch.stats.sequential_node_visits, sequential);
         assert!(
@@ -401,9 +313,12 @@ mod tests {
         let zip = compile_query(&parse_path("//zip").unwrap());
         let diag = compile_query(&parse_path("//diagnosis").unwrap());
         let index = ReachabilityIndex::new(&zip, &dtd, doc.labels());
-        let batch = evaluate_batch(
+        let batch = evaluate_batch_compiled(
             &doc,
-            &[BatchQuery::with_index(&zip, &index), BatchQuery::new(&diag)],
+            &[
+                CompiledBatchQuery::with_index(compile(&zip), &index),
+                CompiledBatchQuery::new(compile(&diag)),
+            ],
         );
         assert_eq!(batch.results[0].answers, evaluate_with_index(&doc, &zip, &index).answers);
         assert_eq!(batch.results[1].answers, evaluate(&doc, &diag).answers);
@@ -419,7 +334,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let doc = hospital_doc();
-        let batch = evaluate_batch(&doc, &[]);
+        let batch = evaluate_batch_compiled(&doc, &[]);
         assert!(batch.results.is_empty());
         assert_eq!(batch.stats.queries, 0);
         assert_eq!(batch.stats.nodes_visited, 0);
@@ -431,7 +346,11 @@ mod tests {
     fn duplicate_queries_share_the_whole_traversal() {
         let doc = hospital_doc();
         let mfa = compile_query(&parse_path("department/patient/pname").unwrap());
-        let batch = evaluate_batch(&doc, &[BatchQuery::new(&mfa), BatchQuery::new(&mfa)]);
+        let ir = compile(&mfa);
+        let batch = evaluate_batch_compiled(
+            &doc,
+            &[CompiledBatchQuery::new(Arc::clone(&ir)), CompiledBatchQuery::new(ir)],
+        );
         let solo = evaluate(&doc, &mfa);
         for r in &batch.results {
             assert_eq!(r.answers, solo.answers);
@@ -447,8 +366,8 @@ mod tests {
         let doc = hospital_doc();
         let mfa = compile_query(&parse_path("patient/pname").unwrap());
         let dept = doc.children(doc.root())[0];
-        let batch = evaluate_batch_at(&doc, dept, &[BatchQuery::new(&mfa)]);
-        let solo = crate::engine::evaluate_at(&doc, dept, &mfa);
+        let batch = evaluate_tree(&doc, dept, &[CompiledBatchQuery::new(compile(&mfa))], 1);
+        let solo = evaluate_at(&doc, dept, &mfa);
         assert_eq!(batch.results[0].answers, solo.answers);
         assert_eq!(batch.results[0].stats, solo.stats);
         assert_eq!(batch.stats.nodes_total, doc.subtree_size(dept));

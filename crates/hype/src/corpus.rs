@@ -13,14 +13,14 @@
 //!
 //! * [`CorpusTask`] — one work item: a document, a compiled query, and an
 //!   optional OptHyPE(-C) reachability index.
-//! * [`evaluate_corpus`] — the sequential reference loop.
-//! * [`evaluate_corpus_parallel`] — the same items claimed off a shared
-//!   atomic counter by `min(threads, items)` scoped workers; results are
-//!   reordered back to input order, so answers *and* per-pair
-//!   [`HypeStats`](crate::HypeStats) are **bit-identical** to
-//!   [`evaluate_corpus`] at every thread budget (asserted by the
-//!   `corpus_differential` integration suite and the `corpus_throughput`
-//!   bench).
+//! * [`evaluate_corpus_parallel`] — the items claimed off a shared atomic
+//!   counter by `min(threads, items)` scoped workers; results are reordered
+//!   back to input order, so answers *and* per-pair
+//!   [`HypeStats`](crate::HypeStats) are **bit-identical** to a sequential
+//!   loop of [`crate::evaluate_compiled_at_with`] calls at every thread
+//!   budget (asserted by the `corpus` integration suite and the
+//!   `corpus_throughput` bench). A budget of one *is* that loop, run
+//!   inline on the calling thread.
 //!
 //! The service layer (`smoqe::QueryService::evaluate_corpus_parallel`)
 //! builds the task list from its `DocumentStore` and caches, then dispatches
@@ -81,25 +81,19 @@ impl<'a> CorpusTask<'a> {
     }
 }
 
-/// Evaluates every task sequentially, in order — the reference loop the
-/// parallel path is differentially tested against.
-pub fn evaluate_corpus(tasks: &[CorpusTask]) -> Vec<HypeResult> {
-    tasks.iter().map(CorpusTask::run).collect()
-}
-
 /// Evaluates every task across up to `threads` scoped workers (0 = all
 /// cores), one document per work item, returning results in input order.
 ///
 /// Workers claim task indices off a shared atomic counter (natural load
 /// balancing when document sizes are skewed) and run the unchanged
 /// sequential engine per item, so answers and per-item
-/// [`HypeStats`](crate::HypeStats) are bit-identical to
-/// [`evaluate_corpus`] at every thread budget:
+/// [`HypeStats`](crate::HypeStats) are bit-identical at every thread
+/// budget; a budget of one runs the items in order on the calling thread:
 ///
 /// ```
 /// use std::sync::Arc;
 /// use smoqe_automata::{compile_query, CompiledMfa};
-/// use smoqe_hype::corpus::{evaluate_corpus, evaluate_corpus_parallel, CorpusTask};
+/// use smoqe_hype::corpus::{evaluate_corpus_parallel, CorpusTask};
 /// use smoqe_xml::parse_document;
 /// use smoqe_xpath::parse_path;
 ///
@@ -112,7 +106,7 @@ pub fn evaluate_corpus(tasks: &[CorpusTask]) -> Vec<HypeResult> {
 ///     .iter()
 ///     .map(|d| CorpusTask::new(d, Arc::clone(&ir)))
 ///     .collect();
-/// assert_eq!(evaluate_corpus_parallel(&tasks, 4), evaluate_corpus(&tasks));
+/// assert_eq!(evaluate_corpus_parallel(&tasks, 4), evaluate_corpus_parallel(&tasks, 1));
 /// ```
 pub fn evaluate_corpus_parallel(tasks: &[CorpusTask], threads: usize) -> Vec<HypeResult> {
     if tasks.is_empty() {
@@ -140,13 +134,16 @@ pub fn evaluate_corpus_parallel(tasks: &[CorpusTask], threads: usize) -> Vec<Hyp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::ir;
     use smoqe_automata::compile_query;
     use smoqe_xml::hospital::hospital_document_dtd;
     use smoqe_xml::{parse_document, XmlTreeBuilder};
     use smoqe_xpath::parse_path;
 
-    fn ir(query: &str) -> Arc<CompiledMfa> {
-        Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())))
+    /// The sequential reference: every task through the solo tree entry,
+    /// in order.
+    fn evaluate_corpus(tasks: &[CorpusTask]) -> Vec<HypeResult> {
+        tasks.iter().map(CorpusTask::run).collect()
     }
 
     fn corpus() -> Vec<XmlTree> {

@@ -1,4 +1,5 @@
-//! The HyPE evaluation engine (Fig. 6 of the paper).
+//! The HyPE evaluation engine (Fig. 6 of the paper) and its one tree
+//! entry point.
 //!
 //! One depth-first pass over the document drives the selecting NFA
 //! (`mstates`), propagates pending filter states downwards (`fstates↓`),
@@ -15,25 +16,24 @@
 //! Correctness of that rule assumes the document conforms to the DTD used
 //! to build the index, which is the same assumption the paper makes.
 //!
-//! Since the batching PR there is a single implementation of the traversal:
-//! [`crate::batch`] drives N queries through one pass, and the solo entry
-//! points below are the 1-query special case of it. Since the execution-IR
-//! PR that single implementation runs on the bitset-based
-//! [`CompiledMfa`] rather than interpreting the builder [`Mfa`] directly;
-//! the pre-IR engines survive in [`crate::interpreted`] as the differential
-//! oracle. This keeps the hot path in one place and makes "batched equals
-//! sequential" true by construction for the solo/batch pair (the
-//! integration suite still checks it end-to-end over the whole query
-//! corpus).
+//! Every tree evaluation goes through [`evaluate_tree`]: a batch of
+//! compiled queries, an evaluation context and a thread budget. A solo
+//! query is a batch of one. At a budget of one thread the batch is walked
+//! sequentially ([`crate::batch`]); at larger budgets the walk is sharded
+//! over scoped workers ([`crate::parallel`]) with bit-identical answers
+//! and statistics. [`evaluate_compiled_at_with`] and
+//! [`evaluate_batch_compiled`] are the sequential solo and root-batch
+//! special cases.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use smoqe_automata::{CompiledMfa, Mfa};
+use smoqe_automata::CompiledMfa;
 use smoqe_xml::{NodeId, XmlTree};
 
-use crate::batch::{evaluate_batch_at, BatchQuery, CompiledBatchQuery};
+use crate::batch::{evaluate_sequential, BatchResult, BatchStats, CompiledBatchQuery};
 use crate::index::ReachabilityIndex;
+use crate::parallel::{evaluate_sharded, resolve_threads};
 
 /// Execution statistics of one HyPE run, used to reproduce the paper's
 /// pruning measurements ("HyPE prunes, on average, 78.2% of the element
@@ -43,8 +43,8 @@ use crate::index::ReachabilityIndex;
 /// unit tests):
 ///
 /// * `nodes_total` counts the element nodes of the **evaluated subtree** —
-///   the whole document for [`evaluate`], the context's subtree for
-///   [`evaluate_at`] — never the whole arena.
+///   the whole document when [`evaluate_tree`] runs at the root, the
+///   context's subtree otherwise — never the whole arena.
 /// * `nodes_visited` counts every node the traversal actually entered, and a
 ///   subtree skipped by pruning contributes zero, in **every** mode; HyPE
 ///   and OptHyPE therefore share the same denominator and their
@@ -106,62 +106,94 @@ pub struct HypeResult {
     pub stats: HypeStats,
 }
 
-/// Evaluates `mfa` at the root of `tree` with plain HyPE (no index).
-pub fn evaluate(tree: &XmlTree, mfa: &Mfa) -> HypeResult {
-    evaluate_at_with(tree, tree.root(), mfa, None)
-}
-
-/// Evaluates `mfa` at `context` with plain HyPE (no index).
-pub fn evaluate_at(tree: &XmlTree, context: NodeId, mfa: &Mfa) -> HypeResult {
-    evaluate_at_with(tree, context, mfa, None)
-}
-
-/// Evaluates `mfa` at the root of `tree` with an OptHyPE(-C) index.
-pub fn evaluate_with_index(tree: &XmlTree, mfa: &Mfa, index: &ReachabilityIndex) -> HypeResult {
-    evaluate_at_with(tree, tree.root(), mfa, Some(index))
-}
-
-/// Evaluates `mfa` at `context`, optionally with an OptHyPE(-C) index.
+/// Evaluates every query of `queries` at `context` in one pass over the
+/// subtree of `tree` rooted there — the one tree entry point all the
+/// others reduce to.
 ///
-/// The builder MFA is compiled to its [`CompiledMfa`] execution IR on every
-/// call; callers evaluating the same query repeatedly should compile once
-/// and use [`evaluate_compiled_at_with`].
-pub fn evaluate_at_with(
+/// `threads` is the thread budget: `0` means all available cores. When the
+/// resolved budget is one, the subtree is walked sequentially on the
+/// calling thread; otherwise its subtrees are sharded over that many scoped
+/// workers. Either way the results are index-aligned with `queries`, each
+/// one exactly what a solo run of that query would produce — answers *and*
+/// [`HypeStats`] — while the document is traversed only once. Only
+/// [`HypeStats::max_shard_fraction`] tells the two executions apart.
+///
+/// ```
+/// use std::sync::Arc;
+/// use smoqe_automata::{compile_query, CompiledMfa};
+/// use smoqe_hype::{evaluate_tree, CompiledBatchQuery};
+/// use smoqe_xml::XmlTreeBuilder;
+/// use smoqe_xpath::parse_path;
+///
+/// let mut b = XmlTreeBuilder::new();
+/// let root = b.root("hospital");
+/// for name in ["Alice", "Bob"] {
+///     let patient = b.child(root, "patient");
+///     b.child_with_text(patient, "pname", name);
+/// }
+/// let doc = b.finish();
+///
+/// let ir = |q: &str| Arc::new(CompiledMfa::new(&compile_query(&parse_path(q).unwrap())));
+/// let queries = [
+///     CompiledBatchQuery::new(ir("patient")),
+///     CompiledBatchQuery::new(ir("patient/pname")),
+/// ];
+/// let sequential = evaluate_tree(&doc, doc.root(), &queries, 1);
+/// assert_eq!(sequential.results[0].answers.len(), 2); // the <patient>s
+/// assert_eq!(sequential.results[1].answers.len(), 2); // their <pname>s
+/// // The shared pass performs no more visits than N solo runs would.
+/// assert!(sequential.stats.nodes_visited <= sequential.stats.sequential_node_visits);
+///
+/// // Sharded over four workers: the same answers and statistics.
+/// let sharded = evaluate_tree(&doc, doc.root(), &queries, 4);
+/// assert_eq!(sharded.stats, sequential.stats);
+/// for (p, s) in sharded.results.iter().zip(&sequential.results) {
+///     assert_eq!((&p.answers, p.stats), (&s.answers, s.stats));
+/// }
+/// ```
+pub fn evaluate_tree(
     tree: &XmlTree,
     context: NodeId,
-    mfa: &Mfa,
-    index: Option<&ReachabilityIndex>,
-) -> HypeResult {
-    let mut batch = evaluate_batch_at(tree, context, &[BatchQuery { mfa, index }]);
-    batch.results.pop().expect("one result per batched query")
+    queries: &[CompiledBatchQuery],
+    threads: usize,
+) -> BatchResult {
+    if queries.is_empty() {
+        return BatchResult {
+            results: Vec::new(),
+            stats: BatchStats {
+                nodes_total: tree.subtree_size(context),
+                ..BatchStats::default()
+            },
+        };
+    }
+    match resolve_threads(threads) {
+        1 => evaluate_sequential(tree, context, queries),
+        threads => evaluate_sharded(tree, context, queries, threads),
+    }
 }
 
-/// Evaluates a pre-compiled execution IR at the root of `tree` with plain
-/// HyPE.
-pub fn evaluate_compiled(tree: &XmlTree, compiled: &Arc<CompiledMfa>) -> HypeResult {
-    evaluate_compiled_at_with(tree, tree.root(), compiled, None)
-}
-
-/// Evaluates a pre-compiled execution IR at `context`, optionally with an
-/// OptHyPE(-C) index — the compile-once counterpart of
-/// [`evaluate_at_with`].
+/// Evaluates one pre-compiled query at `context`, optionally with an
+/// OptHyPE(-C) index, on the calling thread.
 pub fn evaluate_compiled_at_with(
     tree: &XmlTree,
     context: NodeId,
     compiled: &Arc<CompiledMfa>,
     index: Option<&ReachabilityIndex>,
 ) -> HypeResult {
-    let query = CompiledBatchQuery {
-        compiled: Arc::clone(compiled),
-        index,
-    };
-    let mut batch = crate::batch::evaluate_batch_compiled_at(tree, context, &[query]);
-    batch.results.pop().expect("one result per batched query")
+    let query = CompiledBatchQuery { compiled: Arc::clone(compiled), index };
+    evaluate_tree(tree, context, &[query], 1).results.pop().expect("one result per query")
+}
+
+/// Evaluates every pre-compiled query at the root of `tree` in one pass on
+/// the calling thread.
+pub fn evaluate_batch_compiled(tree: &XmlTree, queries: &[CompiledBatchQuery]) -> BatchResult {
+    evaluate_tree(tree, tree.root(), queries, 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{evaluate, evaluate_at, evaluate_with_index};
     use smoqe_automata::{compile_query, evaluate_mfa_at};
     use smoqe_xml::hospital::hospital_document_dtd;
     use smoqe_xml::{XmlTree, XmlTreeBuilder};

@@ -109,7 +109,7 @@ struct ShardState {
 /// use std::sync::Arc;
 /// use smoqe_automata::{compile_query, CompiledMfa};
 /// use smoqe_hype::incremental::{IncrementalEvaluator, IncrementalQuery};
-/// use smoqe_hype::{evaluate_batch_parallel, CompiledBatchQuery};
+/// use smoqe_hype::{evaluate_tree, CompiledBatchQuery};
 /// use smoqe_xml::{parse_document, EditOp};
 /// use smoqe_xpath::parse_path;
 ///
@@ -131,7 +131,7 @@ struct ShardState {
 /// let incremental = eval.apply_edits(&mut doc, &[op], 1).unwrap();
 ///
 /// // Bit-identical to evaluating the edited document from scratch.
-/// let scratch = evaluate_batch_parallel(&doc, &[CompiledBatchQuery::new(ir)], 1);
+/// let scratch = evaluate_tree(&doc, doc.root(), &[CompiledBatchQuery::new(ir)], 1);
 /// assert_eq!(incremental.results[0].answers, scratch.results[0].answers);
 /// assert_eq!(incremental.results[0].stats, scratch.results[0].stats);
 /// assert_eq!(incremental.stats, scratch.stats);
@@ -187,7 +187,7 @@ impl IncrementalEvaluator {
     ///
     /// Results — per-query answers and [`HypeStats`](crate::HypeStats),
     /// and the aggregate [`BatchStats`] — are bit-identical to a from-scratch
-    /// [`crate::evaluate_batch_parallel_at`] of the edited tree.
+    /// [`crate::evaluate_tree`] of the edited tree.
     ///
     /// # Errors
     /// Fails (leaving `tree` with all ops up to the failing one applied,
@@ -417,7 +417,7 @@ fn top_level_shard(tree: &XmlTree, context: NodeId, node: NodeId) -> Option<Node
 mod tests {
     use super::*;
     use crate::batch::CompiledBatchQuery;
-    use crate::parallel::evaluate_batch_parallel_at;
+    use crate::engine::evaluate_tree;
     use smoqe_automata::compile_query;
     use smoqe_xml::parse_document;
     use smoqe_xpath::parse_path;
@@ -451,7 +451,7 @@ mod tests {
             .into_iter()
             .map(|q| CompiledBatchQuery::new(q.compiled))
             .collect();
-        let want = evaluate_batch_parallel_at(tree, context, &scratch_queries, 1);
+        let want = evaluate_tree(tree, context, &scratch_queries, 1);
         assert_eq!(got.stats, want.stats, "aggregate stats");
         for (g, w) in got.results.iter().zip(&want.results) {
             assert_eq!(g.answers, w.answers);

@@ -1,6 +1,7 @@
-//! Parallel sharded HyPE evaluation: the batched compiled engine spread
+//! Parallel sharded HyPE evaluation: the batched compiled walk spread
 //! across a pool of scoped threads, with answers and statistics
-//! **bit-identical** to the sequential engines.
+//! **bit-identical** to the sequential walk. [`crate::evaluate_tree`]
+//! routes here whenever its resolved thread budget exceeds one.
 //!
 //! ## Sharding strategy
 //!
@@ -67,15 +68,15 @@
 //!
 //! ## Thread budget
 //!
-//! Every entry point takes a `threads` knob: `0` means "all available
-//! cores" ([`std::thread::available_parallelism`]), `1` degenerates to a
-//! sequential execution *through the planner, deque and merge machinery*
-//! (so a budget of one is a correctness vise for re-splitting and
-//! grafting, not a separate code path), and larger budgets are capped by
-//! the **task count after re-splitting** — a two-subtree document with
-//! one dominant subtree still fans out to every worker. Workers are
-//! spawned per evaluation; for a parsed document the spawn cost is noise
-//! next to the traversal.
+//! [`crate::evaluate_tree`] takes a `threads` knob: `0` means "all
+//! available cores" ([`std::thread::available_parallelism`]). A resolved
+//! budget of one never reaches the sharded walk — the plain sequential walk
+//! is faster than the shard machinery on one thread — so sharding always
+//! runs with at least two workers. Larger budgets are capped by the **task
+//! count after re-splitting**: a two-subtree document with one dominant
+//! subtree still fans out to every worker. Workers are spawned per
+//! evaluation; for a parsed document the spawn cost is noise next to the
+//! traversal.
 
 use std::sync::atomic::{fence, AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -118,90 +119,17 @@ pub(crate) fn resolve_threads(budget: usize) -> usize {
     }
 }
 
-/// Evaluates a pre-compiled query at the root of `tree` with plain HyPE,
-/// sharding the root's subtrees over up to `threads` worker threads.
-///
-/// The result — answers *and* [`HypeStats`] — is identical to
-/// [`crate::evaluate_compiled`] at every thread budget:
-///
-/// ```
-/// use std::sync::Arc;
-/// use smoqe_automata::{compile_query, CompiledMfa};
-/// use smoqe_hype::{evaluate_compiled, evaluate_parallel};
-/// use smoqe_xml::XmlTreeBuilder;
-/// use smoqe_xpath::parse_path;
-///
-/// let mut b = XmlTreeBuilder::new();
-/// let root = b.root("hospital");
-/// for name in ["Alice", "Bob"] {
-///     let p = b.child(root, "patient");
-///     b.child_with_text(p, "pname", name);
-/// }
-/// let doc = b.finish();
-///
-/// let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path("patient/pname").unwrap())));
-/// let sequential = evaluate_compiled(&doc, &ir);
-/// let parallel = evaluate_parallel(&doc, &ir, 4);
-/// assert_eq!(parallel.answers, sequential.answers);
-/// assert_eq!(parallel.stats, sequential.stats);
-/// ```
-pub fn evaluate_parallel(tree: &XmlTree, compiled: &Arc<CompiledMfa>, threads: usize) -> HypeResult {
-    evaluate_parallel_at_with(tree, tree.root(), compiled, None, threads)
-}
-
-/// Evaluates a pre-compiled query at `context`, optionally with an
-/// OptHyPE(-C) index, sharding `context`'s subtrees over up to `threads`
-/// workers — the parallel counterpart of
-/// [`crate::evaluate_compiled_at_with`].
-pub fn evaluate_parallel_at_with(
-    tree: &XmlTree,
-    context: NodeId,
-    compiled: &Arc<CompiledMfa>,
-    index: Option<&ReachabilityIndex>,
-    threads: usize,
-) -> HypeResult {
-    let query = CompiledBatchQuery {
-        compiled: Arc::clone(compiled),
-        index,
-    };
-    let mut batch = evaluate_batch_parallel_at(tree, context, &[query], threads);
-    batch.results.pop().expect("one result per query")
-}
-
-/// Evaluates every query of `queries` at the root of `tree`, sharding the
-/// traversal over up to `threads` workers — the parallel counterpart of
-/// [`crate::evaluate_batch_compiled`].
-pub fn evaluate_batch_parallel(
-    tree: &XmlTree,
-    queries: &[CompiledBatchQuery],
-    threads: usize,
-) -> BatchResult {
-    evaluate_batch_parallel_at(tree, tree.root(), queries, threads)
-}
-
-/// Evaluates every query of `queries` at `context`, sharding the traversal
-/// over up to `threads` workers. Per-query results *and* the aggregate
-/// [`BatchStats`] are identical to [`crate::evaluate_batch_compiled_at`]
-/// at every thread budget.
-pub fn evaluate_batch_parallel_at(
+/// Shards the walk of `context`'s subtree over `threads` (already
+/// resolved, at least two) scoped workers for a non-empty batch — the
+/// multi-threaded arm of [`crate::evaluate_tree`]. Per-query results *and*
+/// the aggregate [`BatchStats`] are identical to the sequential walk's.
+pub(crate) fn evaluate_sharded(
     tree: &XmlTree,
     context: NodeId,
     queries: &[CompiledBatchQuery],
     threads: usize,
 ) -> BatchResult {
     let nodes_total = tree.subtree_size(context);
-    if queries.is_empty() {
-        return BatchResult {
-            results: Vec::new(),
-            stats: BatchStats {
-                queries: 0,
-                nodes_total,
-                nodes_visited: 0,
-                sequential_node_visits: 0,
-            },
-        };
-    }
-    let threads = resolve_threads(threads);
 
     // Open the evaluation context on the calling thread, exactly as the
     // sequential engine would (vertices, ε edges, λ triggers, statistics).
@@ -790,15 +718,25 @@ pub(crate) fn finalize_queries<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{evaluate_batch_compiled, BatchQuery};
-    use crate::engine::evaluate_compiled_at_with;
+    use crate::testing::{compile, evaluate_solo, ir};
+    use crate::{evaluate_batch_compiled, evaluate_compiled_at_with, evaluate_tree};
     use smoqe_automata::compile_query;
     use smoqe_xml::hospital::hospital_document_dtd;
     use smoqe_xml::XmlTreeBuilder;
     use smoqe_xpath::parse_path;
 
-    fn ir(query: &str) -> Arc<CompiledMfa> {
-        Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())))
+    /// Plain HyPE at the root under the thread budget `threads`.
+    fn evaluate_parallel(
+        tree: &XmlTree,
+        compiled: &Arc<CompiledMfa>,
+        threads: usize,
+    ) -> HypeResult {
+        evaluate_solo(tree, tree.root(), compiled, None, threads)
+    }
+
+    /// Plain HyPE at the root on the calling thread.
+    fn sequential(tree: &XmlTree, compiled: &Arc<CompiledMfa>) -> HypeResult {
+        evaluate_compiled_at_with(tree, tree.root(), compiled, None)
     }
 
     /// A document whose root has several structurally different subtrees.
@@ -865,7 +803,7 @@ mod tests {
         let doc = doc();
         for query in ["//diagnosis", "department/patient/pname", "doctor"] {
             let compiled = ir(query);
-            let sequential = crate::evaluate_compiled(&doc, &compiled);
+            let sequential = sequential(&doc, &compiled);
             for threads in [0, 1, 2, 5, 64] {
                 let parallel = evaluate_parallel(&doc, &compiled, threads);
                 assert_eq!(parallel.answers, sequential.answers, "`{query}` @{threads}");
@@ -883,7 +821,7 @@ mod tests {
             .collect();
         let sequential = evaluate_batch_compiled(&doc, &queries);
         for threads in [1, 2, 8] {
-            let parallel = evaluate_batch_parallel(&doc, &queries, threads);
+            let parallel = evaluate_tree(&doc, doc.root(), &queries, threads);
             assert_eq!(parallel.stats, sequential.stats, "@{threads}");
             for (p, s) in parallel.results.iter().zip(&sequential.results) {
                 assert_eq!(p.answers, s.answers, "@{threads}");
@@ -897,7 +835,7 @@ mod tests {
         let doc = skewed_doc();
         for query in ["//diagnosis", "department/patient/pname", "//patient[visit]"] {
             let compiled = ir(query);
-            let sequential = crate::evaluate_compiled(&doc, &compiled);
+            let sequential = sequential(&doc, &compiled);
             for threads in [1, 2, 4, 8] {
                 let parallel = evaluate_parallel(&doc, &compiled, threads);
                 assert_eq!(parallel.answers, sequential.answers, "`{query}` @{threads}");
@@ -916,7 +854,7 @@ mod tests {
                 .collect();
         let sequential = evaluate_batch_compiled(&doc, &queries);
         for threads in [1, 2, 4, 8] {
-            let parallel = evaluate_batch_parallel(&doc, &queries, threads);
+            let parallel = evaluate_tree(&doc, doc.root(), &queries, threads);
             assert_eq!(parallel.stats, sequential.stats, "@{threads}");
             for (p, s) in parallel.results.iter().zip(&sequential.results) {
                 assert_eq!(p.answers, s.answers, "@{threads}");
@@ -978,7 +916,7 @@ mod tests {
     fn skewed_run_reports_shard_fraction() {
         let doc = skewed_doc();
         let compiled = ir("//diagnosis");
-        let sequential = crate::evaluate_compiled(&doc, &compiled);
+        let sequential = sequential(&doc, &compiled);
         assert_eq!(sequential.stats.max_shard_fraction, 0.0);
         let parallel = evaluate_parallel(&doc, &compiled, 4);
         let frac = parallel.stats.max_shard_fraction;
@@ -1048,7 +986,7 @@ mod tests {
             .find(|&n| doc.children(n).is_empty())
             .expect("tree has leaves");
         let sequential = evaluate_compiled_at_with(&doc, leaf, &compiled, None);
-        let parallel = evaluate_parallel_at_with(&doc, leaf, &compiled, None, 8);
+        let parallel = evaluate_solo(&doc, leaf, &compiled, None, 8);
         assert_eq!(parallel.answers, sequential.answers);
         assert_eq!(parallel.stats, sequential.stats);
     }
@@ -1062,8 +1000,7 @@ mod tests {
         let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
         let sequential = evaluate_compiled_at_with(&doc, doc.root(), &compiled, Some(&index));
         for threads in [1, 3] {
-            let parallel =
-                evaluate_parallel_at_with(&doc, doc.root(), &compiled, Some(&index), threads);
+            let parallel = evaluate_solo(&doc, doc.root(), &compiled, Some(&index), threads);
             assert_eq!(parallel.answers, sequential.answers, "@{threads}");
             assert_eq!(parallel.stats, sequential.stats, "@{threads}");
         }
@@ -1081,8 +1018,7 @@ mod tests {
         let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
         let sequential = evaluate_compiled_at_with(&doc, doc.root(), &compiled, Some(&index));
         for threads in [1, 4] {
-            let parallel =
-                evaluate_parallel_at_with(&doc, doc.root(), &compiled, Some(&index), threads);
+            let parallel = evaluate_solo(&doc, doc.root(), &compiled, Some(&index), threads);
             assert_eq!(parallel.answers, sequential.answers, "@{threads}");
             assert_eq!(parallel.stats, sequential.stats, "@{threads}");
         }
@@ -1091,7 +1027,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let doc = doc();
-        let batch = evaluate_batch_parallel(&doc, &[], 4);
+        let batch = evaluate_tree(&doc, doc.root(), &[], 4);
         assert!(batch.results.is_empty());
         assert_eq!(batch.stats.queries, 0);
         assert_eq!(batch.stats.nodes_visited, 0);
@@ -1100,12 +1036,13 @@ mod tests {
 
     #[test]
     fn mirrors_sequential_batch_with_builder_queries() {
-        // Cross-check against the builder-MFA convenience path too.
+        // Two separate compilations of one builder MFA behave identically.
         let doc = doc();
         let mfa = compile_query(&parse_path("department/patient[visit]").unwrap());
-        let sequential = crate::evaluate_batch(&doc, &[BatchQuery::new(&mfa)]);
+        let sequential =
+            evaluate_batch_compiled(&doc, &[CompiledBatchQuery::new(compile(&mfa))]);
         let parallel =
-            evaluate_batch_parallel(&doc, &[CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&mfa)))], 2);
+            evaluate_tree(&doc, doc.root(), &[CompiledBatchQuery::new(compile(&mfa))], 2);
         assert_eq!(parallel.results[0].answers, sequential.results[0].answers);
         assert_eq!(parallel.results[0].stats, sequential.results[0].stats);
     }

@@ -38,15 +38,15 @@
 //! pruning is supported, but a [`ReachabilityIndex`](crate::ReachabilityIndex)
 //! is keyed by the label ids of the interner it was built against — so
 //! indexed streaming requires seeding the engine with that same interner
-//! via [`StreamHype::with_interner`]. The plain-HyPE path needs no seeding.
+//! (the second argument of [`StreamHype::new`]). The plain-HyPE path
+//! starts from an empty [`LabelInterner`].
 
 use std::sync::Arc;
 
-use smoqe_automata::Mfa;
 use smoqe_xml::stream::{EventSource, XmlEvent};
 use smoqe_xml::{LabelInterner, NodeId, ParseError};
 
-use crate::batch::{BatchQuery, CompiledBatchQuery};
+use crate::batch::CompiledBatchQuery;
 use crate::engine::HypeResult;
 use crate::runtime::{HypeCore, QueryRuntime};
 
@@ -120,14 +120,15 @@ struct TextEntry {
 /// e.g. an async network decoder), then call [`Self::finish`].
 ///
 /// ```
-/// use smoqe_automata::compile_query;
-/// use smoqe_hype::{BatchQuery, StreamHype};
-/// use smoqe_xml::XmlStreamReader;
+/// use std::sync::Arc;
+/// use smoqe_automata::{compile_query, CompiledMfa};
+/// use smoqe_hype::{CompiledBatchQuery, StreamHype};
+/// use smoqe_xml::{LabelInterner, XmlStreamReader};
 /// use smoqe_xpath::parse_path;
 ///
-/// let mfa = compile_query(&parse_path("patient/pname").unwrap());
+/// let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path("patient/pname").unwrap())));
 /// let xml = "<hospital><patient><pname>Alice</pname></patient></hospital>";
-/// let engine = StreamHype::new(&[BatchQuery::new(&mfa)]);
+/// let engine = StreamHype::new(&[CompiledBatchQuery::new(ir)], LabelInterner::new());
 /// let out = engine.run(&mut XmlStreamReader::new(xml.as_bytes())).unwrap();
 /// assert_eq!(out.results[0].answers.len(), 1);
 /// assert_eq!(out.stats.peak_frames, 3); // O(depth), not O(document)
@@ -158,26 +159,13 @@ pub struct StreamHype<'a> {
 }
 
 impl<'a> StreamHype<'a> {
-    /// A machine for `queries` with a fresh label interner (plain HyPE; see
-    /// the module docs for why indexed queries need
-    /// [`Self::with_interner`]). Each query's execution IR is compiled on
-    /// entry; use [`Self::from_compiled`] to reuse cached IRs.
-    pub fn new(queries: &[BatchQuery<'a>]) -> Self {
-        Self::with_interner(queries, LabelInterner::new())
-    }
-
-    /// A machine whose label interner is seeded with `labels` — required
-    /// when any [`BatchQuery::index`] is set, so the stream's label ids
-    /// agree with the ids the [`crate::ReachabilityIndex`] was built over.
-    pub fn with_interner(queries: &[BatchQuery<'a>], labels: LabelInterner) -> Self {
-        let compiled: Vec<CompiledBatchQuery<'a>> =
-            queries.iter().map(BatchQuery::compile).collect();
-        Self::from_compiled(&compiled, labels)
-    }
-
     /// A machine over pre-compiled execution IRs (shared via `Arc`, e.g.
-    /// from the `smoqe` service cache), with a seeded label interner.
-    pub fn from_compiled(queries: &[CompiledBatchQuery<'a>], labels: LabelInterner) -> Self {
+    /// from the `smoqe` service cache) whose label interner starts as
+    /// `labels`. Pass an empty [`LabelInterner`] for plain HyPE; a query
+    /// with a [`CompiledBatchQuery::index`] needs the interner the
+    /// [`crate::ReachabilityIndex`] was built over, so the stream's label
+    /// ids agree with the index's rows.
+    pub fn new(queries: &[CompiledBatchQuery<'a>], labels: LabelInterner) -> Self {
         let runtimes: Vec<QueryRuntime> = queries
             .iter()
             .map(|q| QueryRuntime::new(&labels, Arc::clone(&q.compiled), q.index))
@@ -329,31 +317,12 @@ impl<'a> StreamHype<'a> {
     }
 }
 
-/// Evaluates `mfa` over the events of `source` with plain streaming HyPE,
-/// returning the solo result plus the stream statistics.
-pub fn evaluate_stream(
-    source: &mut impl EventSource,
-    mfa: &Mfa,
-) -> Result<(HypeResult, StreamStats), ParseError> {
-    let mut out = StreamHype::new(&[BatchQuery::new(mfa)]).run(source)?;
-    let result = out.results.pop().expect("one result per query");
-    Ok((result, out.stats))
-}
-
-/// Evaluates every query of `queries` over the events of `source` in one
-/// streamed pass (the batched front-end; see [`StreamHype`]).
-pub fn evaluate_stream_batch(
-    source: &mut impl EventSource,
-    queries: &[BatchQuery],
-) -> Result<StreamResult, ParseError> {
-    StreamHype::new(queries).run(source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{evaluate, evaluate_with_index};
+    use crate::engine::{evaluate_batch_compiled, HypeResult};
     use crate::index::ReachabilityIndex;
+    use crate::testing::{compile, evaluate, evaluate_with_index};
     use smoqe_automata::compile_query;
     use smoqe_xml::hospital::hospital_document_dtd;
     use smoqe_xml::stream::TreeEvents;
@@ -389,6 +358,16 @@ mod tests {
             b.child_with_text(d, "specialty", "cardiology");
         }
         b.finish()
+    }
+
+    /// Streams `source` through plain HyPE for `mfa` alone.
+    fn evaluate_stream(
+        source: &mut impl EventSource,
+        mfa: &smoqe_automata::Mfa,
+    ) -> Result<(HypeResult, StreamStats), ParseError> {
+        let query = CompiledBatchQuery::new(compile(mfa));
+        let mut out = StreamHype::new(&[query], LabelInterner::new()).run(source)?;
+        Ok((out.results.pop().unwrap(), out.stats))
     }
 
     /// Maps a tree's node ids to the pre-order indices a stream assigns.
@@ -452,10 +431,13 @@ mod tests {
             .iter()
             .map(|q| compile_query(&parse_path(q).unwrap()))
             .collect();
-        let batch_queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
-        let tree_batch = crate::batch::evaluate_batch(&doc, &batch_queries);
+        let batch_queries: Vec<CompiledBatchQuery> =
+            mfas.iter().map(|m| CompiledBatchQuery::new(compile(m))).collect();
+        let tree_batch = evaluate_batch_compiled(&doc, &batch_queries);
         let mut events = TreeEvents::new(&doc);
-        let streamed = evaluate_stream_batch(&mut events, &batch_queries).unwrap();
+        let streamed = StreamHype::new(&batch_queries, LabelInterner::new())
+            .run(&mut events)
+            .unwrap();
         assert_eq!(streamed.results.len(), tree_batch.results.len());
         for (i, query) in QUERIES.iter().enumerate() {
             let expected: std::collections::BTreeSet<NodeId> =
@@ -480,8 +462,8 @@ mod tests {
             let mfa = compile_query(&parse_path(query).unwrap());
             let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
             let solo = evaluate_with_index(&doc, &mfa, &index);
-            let engine = StreamHype::with_interner(
-                &[BatchQuery::with_index(&mfa, &index)],
+            let engine = StreamHype::new(
+                &[CompiledBatchQuery::with_index(compile(&mfa), &index)],
                 doc.labels().clone(),
             );
             let mut events = TreeEvents::new(&doc);
@@ -512,7 +494,7 @@ mod tests {
     fn empty_query_set_streams_to_empty_results() {
         let doc = hospital_doc();
         let mut events = TreeEvents::new(&doc);
-        let out = evaluate_stream_batch(&mut events, &[]).unwrap();
+        let out = StreamHype::new(&[], LabelInterner::new()).run(&mut events).unwrap();
         assert!(out.results.is_empty());
         assert_eq!(out.stats.nodes_total, doc.len());
         assert_eq!(out.stats.nodes_visited, 0);
@@ -521,7 +503,7 @@ mod tests {
     #[test]
     fn push_api_equals_event_source_api() {
         let mfa = compile_query(&parse_path("a/b[text()='x']").unwrap());
-        let mut machine = StreamHype::new(&[BatchQuery::new(&mfa)]);
+        let mut machine = StreamHype::new(&[CompiledBatchQuery::new(compile(&mfa))], LabelInterner::new());
         machine.open("r");
         machine.open("a");
         machine.open("b");
@@ -571,7 +553,7 @@ mod tests {
     #[should_panic(expected = "unbalanced")]
     fn finish_panics_on_truncated_input() {
         let mfa = compile_query(&parse_path("a").unwrap());
-        let mut machine = StreamHype::new(&[BatchQuery::new(&mfa)]);
+        let mut machine = StreamHype::new(&[CompiledBatchQuery::new(compile(&mfa))], LabelInterner::new());
         machine.open("r");
         let _ = machine.finish();
     }

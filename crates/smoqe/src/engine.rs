@@ -1,7 +1,6 @@
 //! The SMOQE engine: view-based query answering and the stand-alone
 //! regular XPath engine.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::io::Read;
 use std::sync::Arc;
@@ -10,7 +9,7 @@ use smoqe_automata::{CompiledMfa, Mfa};
 use smoqe_hype::{CompiledBatchQuery, HypeResult, ReachabilityIndex, StreamHype, StreamStats};
 use smoqe_rewrite::{rewrite_to_mfa, RewriteError};
 use smoqe_views::{hospital_view, ViewDefinition, ViewError};
-use smoqe_xml::{Dtd, LabelInterner, NodeId, ParseError, XmlStreamReader, XmlTree};
+use smoqe_xml::{Dtd, LabelInterner, ParseError, XmlStreamReader, XmlTree};
 use smoqe_xpath::{parse_path, ParseQueryError, Path};
 
 /// Errors surfaced by the engine API.
@@ -78,6 +77,19 @@ pub enum EvaluationMode {
     OptHyPEC,
 }
 
+impl EvaluationMode {
+    /// The reachability index this mode prunes with: `None` for plain
+    /// HyPE, otherwise whether the index is the compressed (OptHyPE-C)
+    /// flavour — the `compressed` argument of [`CompiledQuery::build_index`].
+    pub fn compressed_index(self) -> Option<bool> {
+        match self {
+            EvaluationMode::HyPE => None,
+            EvaluationMode::OptHyPE => Some(false),
+            EvaluationMode::OptHyPEC => Some(true),
+        }
+    }
+}
+
 /// A query compiled (and, for view queries, rewritten) into an MFA — plus
 /// its [`CompiledMfa`] execution IR, built once here so every later
 /// evaluation runs on the dense bitset representation — ready to be
@@ -114,29 +126,25 @@ impl CompiledQuery {
         &self.compiled
     }
 
-    /// Evaluates the query at the root of `doc` with plain HyPE.
+    /// Evaluates the query at the root of `doc` with plain HyPE. Other
+    /// contexts, indexes, batches and thread budgets go through
+    /// [`smoqe_hype::evaluate_tree`] with [`Self::compiled`].
     pub fn evaluate(&self, doc: &XmlTree) -> HypeResult {
-        smoqe_hype::evaluate_compiled(doc, &self.compiled)
-    }
-
-    /// Evaluates at an arbitrary context node.
-    pub fn evaluate_at(&self, doc: &XmlTree, context: NodeId) -> HypeResult {
-        smoqe_hype::evaluate_compiled_at_with(doc, context, &self.compiled, None)
+        smoqe_hype::evaluate_compiled_at_with(doc, doc.root(), &self.compiled, None)
     }
 
     /// Evaluates the query over a **streamed** XML document read from
     /// `input`, without ever materializing the tree (see
     /// [`smoqe_hype::stream`]). Answers identify nodes by pre-order index,
-    /// which coincides with the [`NodeId`]s [`smoqe_xml::parse_document`]
-    /// would assign to the same input.
+    /// which coincides with the [`NodeId`](smoqe_xml::NodeId)s
+    /// [`smoqe_xml::parse_document`] would assign to the same input.
     pub fn evaluate_stream(
         &self,
         input: impl Read,
     ) -> Result<(HypeResult, StreamStats), EngineError> {
         let mut reader = XmlStreamReader::new(input);
         let query = CompiledBatchQuery::new(Arc::clone(&self.compiled));
-        let mut out = StreamHype::from_compiled(&[query], LabelInterner::new())
-            .run(&mut reader)?;
+        let mut out = StreamHype::new(&[query], LabelInterner::new()).run(&mut reader)?;
         let result = out.results.pop().expect("one result per query");
         Ok((result, out.stats))
     }
@@ -156,34 +164,15 @@ impl CompiledQuery {
         }
         ReachabilityIndex::for_compiled(&self.compiled, document_dtd, doc.labels(), compressed)
     }
-
-    /// Evaluates with the requested HyPE variant, building the index on the
-    /// fly for the Opt variants.
-    pub fn evaluate_with_mode(
-        &self,
-        doc: &XmlTree,
-        document_dtd: &Dtd,
-        mode: EvaluationMode,
-    ) -> HypeResult {
-        match mode {
-            EvaluationMode::HyPE => self.evaluate(doc),
-            EvaluationMode::OptHyPE => {
-                let index = self.build_index(document_dtd, doc, false);
-                smoqe_hype::evaluate_compiled_at_with(doc, doc.root(), &self.compiled, Some(&index))
-            }
-            EvaluationMode::OptHyPEC => {
-                let index = self.build_index(document_dtd, doc, true);
-                smoqe_hype::evaluate_compiled_at_with(doc, doc.root(), &self.compiled, Some(&index))
-            }
-        }
-    }
 }
 
 /// The view-based query answering engine.
 ///
 /// Holds one view definition `σ : D → DV`; queries posed against the view
-/// are rewritten to MFAs over `D` and evaluated directly on the underlying
-/// documents.
+/// are rewritten to MFAs over `D` ([`Self::compile`]) and the resulting
+/// [`CompiledQuery`] is evaluated directly on the underlying documents.
+/// Serving workloads go through [`crate::QueryService`], which caches
+/// compilations and indexes.
 #[derive(Debug, Clone)]
 pub struct SmoqeEngine {
     view: ViewDefinition,
@@ -221,68 +210,6 @@ impl SmoqeEngine {
         let mfa = rewrite_to_mfa(query, &self.view)?;
         Ok(CompiledQuery::from_mfa(query.clone(), mfa))
     }
-
-    /// One-shot convenience: parse, rewrite and evaluate `query` over `doc`,
-    /// returning the origin nodes (in the source document) of the view nodes
-    /// the query selects.
-    pub fn answer(&self, query: &str, doc: &XmlTree) -> Result<BTreeSet<NodeId>, EngineError> {
-        Ok(self.compile(query)?.evaluate(doc).answers)
-    }
-
-    /// Like [`Self::answer`] but also returns HyPE's execution statistics.
-    pub fn answer_with_stats(
-        &self,
-        query: &str,
-        doc: &XmlTree,
-        mode: EvaluationMode,
-    ) -> Result<HypeResult, EngineError> {
-        let compiled = self.compile(query)?;
-        Ok(compiled.evaluate_with_mode(doc, self.view.document_dtd(), mode))
-    }
-
-    /// Like [`Self::answer`], but over a **streamed** document read from
-    /// `input` — a file, socket, or stdin — which is never materialized as
-    /// a tree (constant memory in the document size; see
-    /// [`smoqe_hype::stream`]). Answer nodes are identified by pre-order
-    /// index, matching the ids [`smoqe_xml::parse_document`] assigns.
-    pub fn answer_stream(
-        &self,
-        query: &str,
-        input: impl Read,
-    ) -> Result<BTreeSet<NodeId>, EngineError> {
-        Ok(self.compile(query)?.evaluate_stream(input)?.0.answers)
-    }
-
-    /// Like [`Self::answer_stream`] but also returns HyPE's execution
-    /// statistics and the stream-level counters (events consumed, peak
-    /// frame depth).
-    pub fn answer_stream_with_stats(
-        &self,
-        query: &str,
-        input: impl Read,
-    ) -> Result<(HypeResult, StreamStats), EngineError> {
-        self.compile(query)?.evaluate_stream(input)
-    }
-
-    /// Answers several view queries over one streamed document in a single
-    /// pass ([`smoqe_hype::evaluate_stream_batch`]). Results are
-    /// index-aligned with `queries`.
-    pub fn answer_stream_batch(
-        &self,
-        queries: &[&str],
-        input: impl Read,
-    ) -> Result<smoqe_hype::StreamResult, EngineError> {
-        let compiled: Vec<CompiledQuery> = queries
-            .iter()
-            .map(|q| self.compile(q))
-            .collect::<Result<_, _>>()?;
-        let batch: Vec<CompiledBatchQuery> = compiled
-            .iter()
-            .map(|c| CompiledBatchQuery::new(Arc::clone(c.compiled())))
-            .collect();
-        let mut reader = XmlStreamReader::new(input);
-        Ok(StreamHype::from_compiled(&batch, LabelInterner::new()).run(&mut reader)?)
-    }
 }
 
 /// The stand-alone regular XPath engine: no view involved, queries are
@@ -312,6 +239,20 @@ mod tests {
     use smoqe_xml::hospital::{hospital_document_dtd, HEART_DISEASE};
     use smoqe_xpath::evaluate;
 
+    /// `compiled` over `doc` in `mode`, with a freshly built index for the
+    /// Opt modes.
+    fn evaluate_in_mode(
+        compiled: &CompiledQuery,
+        doc: &XmlTree,
+        document_dtd: &Dtd,
+        mode: EvaluationMode,
+    ) -> HypeResult {
+        let index = mode
+            .compressed_index()
+            .map(|compressed| compiled.build_index(document_dtd, doc, compressed));
+        smoqe_hype::evaluate_compiled_at_with(doc, doc.root(), compiled.compiled(), index.as_ref())
+    }
+
     fn small_doc() -> XmlTree {
         generate_hospital(&HospitalConfig {
             patients: 40,
@@ -333,7 +274,7 @@ mod tests {
             "(patient/parent)*/patient[record]",
             "patient[not(parent)]",
         ] {
-            let by_engine = engine.answer(query, &doc).unwrap();
+            let by_engine = engine.compile(query).unwrap().evaluate(&doc).answers;
             let q = parse_path(query).unwrap();
             let on_view = evaluate(&materialized.tree, materialized.tree.root(), &q);
             let expected = materialized.origins_of(&on_view);
@@ -346,15 +287,11 @@ mod tests {
         let doc = small_doc();
         let engine = SmoqeEngine::hospital_demo();
         let query = format!("patient[*//record/diagnosis/text()='{HEART_DISEASE}']");
-        let base = engine
-            .answer_with_stats(&query, &doc, EvaluationMode::HyPE)
-            .unwrap();
-        let opt = engine
-            .answer_with_stats(&query, &doc, EvaluationMode::OptHyPE)
-            .unwrap();
-        let optc = engine
-            .answer_with_stats(&query, &doc, EvaluationMode::OptHyPEC)
-            .unwrap();
+        let compiled = engine.compile(&query).unwrap();
+        let dtd = engine.view().document_dtd();
+        let base = evaluate_in_mode(&compiled, &doc, dtd, EvaluationMode::HyPE);
+        let opt = evaluate_in_mode(&compiled, &doc, dtd, EvaluationMode::OptHyPE);
+        let optc = evaluate_in_mode(&compiled, &doc, dtd, EvaluationMode::OptHyPEC);
         assert_eq!(base.answers, opt.answers);
         assert_eq!(base.answers, optc.answers);
         assert!(opt.stats.nodes_visited <= base.stats.nodes_visited);
@@ -370,7 +307,7 @@ mod tests {
                 seed,
                 ..Default::default()
             });
-            let direct = engine.answer("patient/record/diagnosis", &doc).unwrap();
+            let direct = engine.compile("patient/record/diagnosis").unwrap().evaluate(&doc).answers;
             assert_eq!(compiled.evaluate(&doc).answers, direct);
         }
     }
@@ -388,7 +325,7 @@ mod tests {
         assert_eq!(result.answers, expected);
         // The index variants agree too.
         let dtd = hospital_document_dtd();
-        let opt = compiled.evaluate_with_mode(&doc, &dtd, EvaluationMode::OptHyPE);
+        let opt = evaluate_in_mode(&compiled, &doc, &dtd, EvaluationMode::OptHyPE);
         assert_eq!(opt.answers, expected);
     }
 
@@ -405,9 +342,10 @@ mod tests {
             "patient[*//record/diagnosis/text()='heart disease']",
             "patient[not(parent)]",
         ] {
-            let on_tree = engine.answer(query, &reparsed).unwrap();
-            let streamed = engine.answer_stream(query, xml.as_bytes()).unwrap();
-            assert_eq!(streamed, on_tree, "stream differs on `{query}`");
+            let compiled = engine.compile(query).unwrap();
+            let on_tree = compiled.evaluate(&reparsed).answers;
+            let (streamed, _) = compiled.evaluate_stream(xml.as_bytes()).unwrap();
+            assert_eq!(streamed.answers, on_tree, "stream differs on `{query}`");
         }
     }
 
@@ -417,10 +355,18 @@ mod tests {
         let xml = smoqe_xml::to_xml_string(&doc);
         let engine = SmoqeEngine::hospital_demo();
         let queries = ["patient", "patient/record/diagnosis", "(patient/parent)*/patient[record]"];
-        let batch = engine.answer_stream_batch(&queries, xml.as_bytes()).unwrap();
+        let compiled: Vec<CompiledQuery> =
+            queries.iter().map(|q| engine.compile(q).unwrap()).collect();
+        let streamed: Vec<CompiledBatchQuery> = compiled
+            .iter()
+            .map(|c| CompiledBatchQuery::new(Arc::clone(c.compiled())))
+            .collect();
+        let batch = StreamHype::new(&streamed, LabelInterner::new())
+            .run(&mut XmlStreamReader::new(xml.as_bytes()))
+            .unwrap();
         assert_eq!(batch.results.len(), queries.len());
         for (i, query) in queries.iter().enumerate() {
-            let (solo, _) = engine.answer_stream_with_stats(query, xml.as_bytes()).unwrap();
+            let (solo, _) = compiled[i].evaluate_stream(xml.as_bytes()).unwrap();
             assert_eq!(batch.results[i].answers, solo.answers, "on `{query}`");
             assert_eq!(batch.results[i].stats, solo.stats, "on `{query}`");
         }
@@ -430,8 +376,9 @@ mod tests {
     #[test]
     fn stream_parse_errors_surface_as_xml_errors() {
         let engine = SmoqeEngine::hospital_demo();
+        let compiled = engine.compile("patient").unwrap();
         assert!(matches!(
-            engine.answer_stream("patient", "<a><b></a></b>".as_bytes()),
+            compiled.evaluate_stream("<a><b></a></b>".as_bytes()),
             Err(EngineError::Xml(_))
         ));
     }
@@ -439,11 +386,7 @@ mod tests {
     #[test]
     fn query_errors_are_reported() {
         let engine = SmoqeEngine::hospital_demo();
-        let doc = small_doc();
-        assert!(matches!(
-            engine.answer("patient[", &doc),
-            Err(EngineError::Query(_))
-        ));
+        assert!(matches!(engine.compile("patient["), Err(EngineError::Query(_))));
     }
 
     #[test]
@@ -453,7 +396,7 @@ mod tests {
         let doc = small_doc();
         let engine = SmoqeEngine::hospital_demo();
         for query in ["pname", "patient/pname", "//pname", "//doctor", "//sibling", "//address"] {
-            let answers = engine.answer(query, &doc).unwrap();
+            let answers = engine.compile(query).unwrap().evaluate(&doc).answers;
             assert!(answers.is_empty(), "`{query}` must be empty on the view");
         }
     }

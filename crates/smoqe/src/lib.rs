@@ -18,30 +18,25 @@
 //!
 //! For serving workloads — many concurrent queries, hot query sets, repeated
 //! documents — the [`QueryService`] front-end adds an LRU compiled-query
-//! cache (keyed by view fingerprint and normalized query text), a shared
-//! reachability-index cache, and batched evaluation that answers N queries
-//! in a single HyPE pass ([`smoqe_hype::evaluate_batch`]). The service is
-//! `Send + Sync` — its caches are segmented, independently locked LRUs
-//! ([`lru::ShardedLru`]), so one instance serves many threads — and its
-//! `*_parallel` front-ends ([`QueryService::answer_parallel`],
-//! [`QueryService::evaluate_batch_parallel`]) additionally shard a single
-//! document traversal across a configurable thread budget
-//! ([`smoqe_hype::parallel`]) with bit-identical answers and statistics.
+//! cache (keyed by view fingerprint and normalized query text) and a shared
+//! reachability-index cache, and answers through one front-end per
+//! evaluation shape: [`QueryService::evaluate`] (one query, one tree),
+//! [`QueryService::evaluate_batch`] (N queries in a single HyPE pass),
+//! [`QueryService::evaluate_batch_parallel`] (the same pass sharded over a
+//! configurable thread budget, bit-identical answers and statistics),
+//! [`QueryService::evaluate_corpus_parallel`] (requests spread across the
+//! documents of a [`DocumentStore`]) and [`QueryService::answer_stream`] (a
+//! streamed document). All tree evaluation ends in
+//! [`smoqe_hype::evaluate_tree`]. The service is `Send + Sync` — its caches
+//! are segmented, independently locked LRUs ([`lru::ShardedLru`]) — so one
+//! instance serves many threads.
 //!
-//! When the workload is many *documents* rather than many queries, the
-//! [`DocumentStore`] holds a corpus of documents as parsed arenas plus
+//! The [`DocumentStore`] holds a corpus of documents as parsed arenas plus
 //! their binary snapshots (`smoqe_xml::snapshot`), content-addressed by
-//! [`DocId`] with the reachability-cache fingerprint precomputed per
-//! document. [`QueryService::evaluate_corpus_parallel`] then routes a
-//! batch of (document, query) requests **across documents** over the same
-//! thread budget — each pair on the unchanged sequential engine, so
-//! answers and statistics stay bit-identical to the sequential
-//! [`QueryService::evaluate_corpus`] loop.
-//!
-//! Stored documents are **versioned-mutable**: [`DocumentStore::apply_edit`]
-//! applies subtree edits (`smoqe_xml::edit`) to produce a new
-//! content-addressed version that shares the base snapshot bytes of its
-//! ancestor — only a delta-log tail is new — while
+//! [`DocId`]. Stored documents are **versioned-mutable**:
+//! [`DocumentStore::apply_edit`] applies subtree edits (`smoqe_xml::edit`)
+//! to produce a new content-addressed version that shares the base
+//! snapshot bytes of its ancestor — only a delta-log tail is new — while
 //! [`QueryService::apply_edit`] and [`QueryService::remove_document`]
 //! additionally sweep exactly the stale reachability-index entries (those
 //! keyed to a label fingerprint no resident document uses any more) via
@@ -50,8 +45,8 @@
 //! skip the unchanged parts of the document entirely via
 //! [`smoqe_hype::incremental`].
 //!
-//! Documents need not fit in memory at all: `answer_stream` on both
-//! [`SmoqeEngine`] and [`QueryService`] evaluates queries over a **streamed**
+//! Documents need not fit in memory at all: [`CompiledQuery::evaluate_stream`]
+//! and [`QueryService::answer_stream`] evaluate a query over a **streamed**
 //! document read from any `std::io::Read` — the single-pass promise of the
 //! paper taken literally, in `O(depth)` working memory, via
 //! [`smoqe_hype::stream`] and [`smoqe_xml::stream`].
@@ -69,10 +64,12 @@
 //! let engine = SmoqeEngine::hospital_demo();
 //!
 //! // A query over the *view*: heart-disease patients one of whose ancestors
-//! // also had heart disease. Answered on the source, without materializing.
-//! let answers = engine
-//!     .answer("patient[*//record/diagnosis/text()='heart disease']", &doc)
+//! // also had heart disease. Rewritten once, answered on the source without
+//! // materializing the view.
+//! let query = engine
+//!     .compile("patient[*//record/diagnosis/text()='heart disease']")
 //!     .unwrap();
+//! let answers = query.evaluate(&doc).answers;
 //! assert!(answers.iter().all(|&n| doc.label_name(n) == "patient"));
 //! ```
 

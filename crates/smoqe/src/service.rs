@@ -1,10 +1,10 @@
 //! The SMOQE query service layer.
 //!
-//! [`SmoqeEngine`] answers one query at a time and recompiles the rewrite —
-//! and rebuilds the OptHyPE reachability index — on every call. A serving
-//! deployment sees the opposite workload: a small set of hot queries posed
-//! over and over, by many concurrent callers, against the same (or few)
-//! documents. [`QueryService`] amortises everything that is recomputable:
+//! [`SmoqeEngine`] compiles one query at a time and leaves evaluation — and
+//! any OptHyPE reachability index — to the caller. A serving deployment
+//! sees a small set of hot queries posed over and over, by many concurrent
+//! callers, against the same (or few) documents. [`QueryService`]
+//! amortises everything that is recomputable:
 //!
 //! * a bounded **LRU compiled-query cache** keyed by
 //!   `(view fingerprint, normalized query text)` — `./patient` and
@@ -15,15 +15,27 @@
 //!   engines;
 //! * a bounded **reachability-index cache** keyed by
 //!   `(normalized query, document-label fingerprint, compressed?)`, so the
-//!   OptHyPE(-C) index for a (query, document family) pair is built once;
-//! * a **batched evaluation front-end** ([`QueryService::evaluate_batch`])
-//!   that pushes N cached queries through a single HyPE pass
-//!   ([`smoqe_hype::evaluate_batch`]) instead of N traversals;
-//! * **parallel front-ends** ([`QueryService::answer_parallel`],
-//!   [`QueryService::evaluate_batch_parallel`]) that shard the document
-//!   traversal over a configurable thread budget
-//!   ([`smoqe_hype::parallel`]) with answers and statistics identical to
-//!   the sequential paths.
+//!   OptHyPE(-C) index for a (query, document family) pair is built once.
+//!   The fingerprint is carried by the document's label interner
+//!   ([`LabelInterner::fingerprint`](smoqe_xml::LabelInterner::fingerprint)),
+//!   so every front-end computes the key the same way, at no cost.
+//!
+//! Five front-ends cover the evaluation shapes, one each:
+//!
+//! * [`QueryService::evaluate`] — one query over one tree;
+//! * [`QueryService::evaluate_batch`] — N queries over one tree in a
+//!   single HyPE pass, equivalent spellings deduplicated;
+//! * [`QueryService::evaluate_batch_parallel`] — the same, sharded over
+//!   the configured thread budget ([`smoqe_hype::parallel`]) with answers
+//!   and statistics identical to the sequential pass;
+//! * [`QueryService::evaluate_corpus_parallel`] — (document, query)
+//!   requests against a [`DocumentStore`], spread across documents;
+//! * [`QueryService::answer_stream`] — one query over a streamed document
+//!   that is never materialized.
+//!
+//! The three tree front-ends share one private compile → index → run path
+//! that ends in [`smoqe_hype::evaluate_tree`]; the corpus front-end shares
+//! its compile and index steps.
 //!
 //! The service is `Send + Sync` by construction: all methods take `&self`,
 //! the caches are [`ShardedLru`]s (independently locked segments, so
@@ -42,14 +54,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use smoqe_hype::{
-    BatchResult, CompiledBatchQuery, CorpusTask, HypeResult, ReachabilityIndex, StreamHype,
-    StreamResult, StreamStats,
+    evaluate_corpus_parallel, evaluate_tree, BatchResult, CompiledBatchQuery, CorpusTask,
+    HypeResult, ReachabilityIndex, StreamStats,
 };
 use smoqe_views::ViewDefinition;
-use smoqe_xml::{LabelInterner, XmlStreamReader, XmlTree};
+use smoqe_xml::{EditOp, XmlTree};
 use smoqe_xpath::{normalize, parse_path, Path};
-
-use smoqe_xml::EditOp;
 
 use crate::engine::{CompiledQuery, EngineError, EvaluationMode, SmoqeEngine};
 use crate::lru::ShardedLru;
@@ -68,7 +78,7 @@ pub struct ServiceConfig {
     /// `1` restores exact global LRU recency.
     pub cache_segments: usize,
     /// Thread budget of the `*_parallel` front-ends: `0` uses all available
-    /// cores, `1` runs the shard machinery on the calling thread.
+    /// cores, `1` evaluates sequentially on the calling thread.
     pub parallel_threads: usize,
 }
 
@@ -106,11 +116,11 @@ pub struct ServiceStats {
     pub index_invalidations: u64,
     /// Indexes currently cached.
     pub index_cached: usize,
-    /// Shard skew of the most recent `answer_parallel` /
-    /// `evaluate_batch_parallel` call: the largest work unit's share of the
-    /// physically visited nodes, in `[0, 1]` (`0.0` before any parallel
-    /// call). Scheduling observability — excluded from equality, like
-    /// `HypeStats::max_shard_fraction`.
+    /// Shard skew of the most recent `evaluate_batch_parallel` call: the
+    /// largest work unit's share of the physically visited nodes, in
+    /// `[0, 1]` (`0.0` before any parallel call, and after one whose budget
+    /// resolved to a single thread). Scheduling observability — excluded
+    /// from equality, like `HypeStats::max_shard_fraction`.
     pub last_max_shard_fraction: f64,
 }
 
@@ -309,119 +319,22 @@ impl QueryService {
         Ok(compiled)
     }
 
-    /// Returns the cached OptHyPE(-C) index for (`compiled`, `doc`),
-    /// building and caching it on first use.
-    fn index_for(
-        &self,
-        compiled: &CompiledQuery,
-        doc: &XmlTree,
-        compressed: bool,
-    ) -> Arc<ReachabilityIndex> {
-        self.index_for_fingerprinted(compiled, doc, labels_fingerprint(doc.labels()), compressed)
-    }
-
-    /// [`Self::index_for`] with the document-label fingerprint supplied by
-    /// the caller — the corpus path precomputes it once per stored document
-    /// ([`StoredDocument::labels_fingerprint`]) instead of rehashing the
-    /// label table on every (doc, query) request.
-    fn index_for_fingerprinted(
-        &self,
-        compiled: &CompiledQuery,
-        doc: &XmlTree,
-        doc_labels: u64,
-        compressed: bool,
-    ) -> Arc<ReachabilityIndex> {
-        debug_assert_eq!(doc_labels, labels_fingerprint(doc.labels()));
-        let key = IndexKey {
-            query: compiled.query().to_string(),
-            doc_labels,
-            compressed,
-        };
-        if let Some(cached) = self.indexes.get(&key) {
-            self.index_hits.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
-        self.index_misses.fetch_add(1, Ordering::Relaxed);
-        // A tainted fingerprint means *some* resident version with this
-        // interner layout is non-conformant; a pruning index cached under
-        // the shared key would serve that version wrongly, so every build
-        // under the fingerprint degrades to no-prune. (`build_index` itself
-        // also degrades when `doc` is the non-conformant one — the taint
-        // covers the conforming sibling that would otherwise repopulate the
-        // shared entry with pruning rows.)
-        let index = if self.tainted.lock().expect("taint set lock").contains(&doc_labels) {
-            Arc::new(ReachabilityIndex::no_prune(
-                compiled.compiled().labels(),
-                doc.labels(),
-                compressed,
-            ))
-        } else {
-            Arc::new(compiled.build_index(self.view().document_dtd(), doc, compressed))
-        };
-        self.indexes.insert(key, Arc::clone(&index));
-        index
-    }
-
-    /// The index for `mode`, from cache: `None` for plain HyPE.
-    fn index_for_mode(
-        &self,
-        compiled: &CompiledQuery,
-        doc: &XmlTree,
-        mode: EvaluationMode,
-    ) -> Option<Arc<ReachabilityIndex>> {
-        match mode {
-            EvaluationMode::HyPE => None,
-            EvaluationMode::OptHyPE => Some(self.index_for(compiled, doc, false)),
-            EvaluationMode::OptHyPEC => Some(self.index_for(compiled, doc, true)),
-        }
-    }
-
-    /// Answers `query` over `doc` with `mode`, hitting both caches. A
-    /// cache hit skips the rewrite **and** the execution-IR compilation:
-    /// the cached [`CompiledQuery`] carries its `Arc<CompiledMfa>`.
+    /// Answers `query` over `doc` with `mode` on the calling thread,
+    /// hitting both caches. A cache hit skips the rewrite **and** the
+    /// execution-IR compilation: the cached [`CompiledQuery`] carries its
+    /// `Arc<CompiledMfa>`.
     pub fn evaluate(
         &self,
         query: &str,
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<HypeResult, EngineError> {
-        let compiled = self.compile(query)?;
-        let index = self.index_for_mode(&compiled, doc, mode);
-        Ok(smoqe_hype::evaluate_compiled_at_with(
-            doc,
-            doc.root(),
-            compiled.compiled(),
-            index.as_deref(),
-        ))
+        let mut batch = self.run(&[query], doc, mode, 1)?;
+        Ok(batch.results.pop().expect("one result per query"))
     }
 
-    /// Answers `query` over `doc` with `mode`, sharding the document
-    /// traversal over the service's configured thread budget
-    /// ([`ServiceConfig::parallel_threads`]) via
-    /// [`smoqe_hype::evaluate_parallel_at_with`]. Hits both caches exactly
-    /// like [`Self::evaluate`], and returns the same answers *and*
-    /// statistics — parallelism only changes wall-clock time.
-    pub fn answer_parallel(
-        &self,
-        query: &str,
-        doc: &XmlTree,
-        mode: EvaluationMode,
-    ) -> Result<HypeResult, EngineError> {
-        let compiled = self.compile(query)?;
-        let index = self.index_for_mode(&compiled, doc, mode);
-        let result = smoqe_hype::evaluate_parallel_at_with(
-            doc,
-            doc.root(),
-            compiled.compiled(),
-            index.as_deref(),
-            self.parallel_threads,
-        );
-        self.last_max_shard_fraction
-            .store(result.stats.max_shard_fraction.to_bits(), Ordering::Relaxed);
-        Ok(result)
-    }
-
-    /// Answers all of `queries` over `doc` in **one** document pass.
+    /// Answers all of `queries` over `doc` in **one** document pass on the
+    /// calling thread.
     ///
     /// Results are index-aligned with `queries`; each is identical (answers
     /// *and* statistics) to what [`Self::evaluate`] would return for that
@@ -442,52 +355,28 @@ impl QueryService {
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<BatchResult, EngineError> {
-        let (unique, indexes, slot_of) = self.assemble_batch(queries, doc, mode)?;
-        let batch = to_batch_queries(&unique, &indexes);
-        let result = smoqe_hype::evaluate_batch_compiled(doc, &batch);
-        Ok(fan_out(result, &slot_of))
+        self.run(queries, doc, mode, 1)
     }
 
-    /// Answers all of `queries` over `doc` in one *sharded, multi-threaded*
-    /// document pass ([`smoqe_hype::evaluate_batch_parallel`]) under the
-    /// service's configured thread budget. Deduplication, result alignment,
-    /// per-query answers and statistics, and the aggregate
+    /// [`Self::evaluate_batch`] under the service's thread budget
+    /// ([`ServiceConfig::parallel_threads`]): when the budget resolves to
+    /// more than one thread the document traversal is sharded over that
+    /// many workers ([`smoqe_hype::parallel`]). Deduplication, result
+    /// alignment, per-query answers and statistics, and the aggregate
     /// [`BatchStats`](smoqe_hype::BatchStats) are all identical to
-    /// [`Self::evaluate_batch`].
+    /// [`Self::evaluate_batch`]; a solo query is a batch of one.
     pub fn evaluate_batch_parallel(
         &self,
         queries: &[&str],
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<BatchResult, EngineError> {
-        let (unique, indexes, slot_of) = self.assemble_batch(queries, doc, mode)?;
-        let batch = to_batch_queries(&unique, &indexes);
-        let result = smoqe_hype::evaluate_batch_parallel(doc, &batch, self.parallel_threads);
+        let result = self.run(queries, doc, mode, self.parallel_threads)?;
         if let Some(first) = result.results.first() {
             self.last_max_shard_fraction
                 .store(first.stats.max_shard_fraction.to_bits(), Ordering::Relaxed);
         }
-        Ok(fan_out(result, &slot_of))
-    }
-
-    /// Answers a batch of (document, query) requests against `store`, one
-    /// sequential evaluation per request, in order — the reference loop
-    /// [`Self::evaluate_corpus_parallel`] is differentially tested against.
-    ///
-    /// Every request hits both caches: queries compile once per distinct
-    /// normalized spelling, and OptHyPE(-C) indexes are shared across all
-    /// documents with the same label-interner layout (the fingerprint is
-    /// precomputed per stored document, so the cache key costs nothing per
-    /// request). A request naming an unknown [`DocId`] fails the whole call
-    /// with [`EngineError::UnknownDocument`].
-    pub fn evaluate_corpus(
-        &self,
-        store: &DocumentStore,
-        requests: &[(DocId, &str)],
-        mode: EvaluationMode,
-    ) -> Result<Vec<HypeResult>, EngineError> {
-        let items = self.assemble_corpus(store, requests, mode)?;
-        Ok(smoqe_hype::evaluate_corpus(&corpus_tasks(&items)))
+        Ok(result)
     }
 
     /// Answers a batch of (document, query) requests against `store`,
@@ -495,106 +384,39 @@ impl QueryService {
     /// ([`ServiceConfig::parallel_threads`]) — one document per work item
     /// on the scoped worker pool of [`smoqe_hype::corpus`]. Results are in
     /// request order, with answers and per-request
-    /// [`HypeStats`](smoqe_hype::HypeStats) **bit-identical** to
-    /// [`Self::evaluate_corpus`] at every thread budget; parallelism only
+    /// [`HypeStats`](smoqe_hype::HypeStats) **bit-identical** to a loop of
+    /// [`Self::evaluate`] calls at every thread budget; parallelism only
     /// changes wall-clock time.
+    ///
+    /// Every request hits both caches: queries compile once per distinct
+    /// normalized spelling, and OptHyPE(-C) indexes are shared across all
+    /// documents with the same label-interner layout. A request naming an
+    /// unknown [`DocId`] fails the whole call with
+    /// [`EngineError::UnknownDocument`].
     pub fn evaluate_corpus_parallel(
         &self,
         store: &DocumentStore,
         requests: &[(DocId, &str)],
         mode: EvaluationMode,
     ) -> Result<Vec<HypeResult>, EngineError> {
-        let items = self.assemble_corpus(store, requests, mode)?;
-        Ok(smoqe_hype::evaluate_corpus_parallel(
-            &corpus_tasks(&items),
-            self.parallel_threads,
-        ))
-    }
-
-    /// The shared corpus preamble: resolve every document, compile every
-    /// query through the cache, and fetch each pair's index for `mode` —
-    /// keyed on the stored document's precomputed label fingerprint.
-    fn assemble_corpus(
-        &self,
-        store: &DocumentStore,
-        requests: &[(DocId, &str)],
-        mode: EvaluationMode,
-    ) -> Result<Vec<CorpusItem>, EngineError> {
-        requests
+        let items: Vec<CorpusItem> = requests
             .iter()
             .map(|&(id, query)| {
                 let doc = store.get(id).ok_or(EngineError::UnknownDocument(id))?;
                 let compiled = self.compile(query)?;
-                let index = match mode {
-                    EvaluationMode::HyPE => None,
-                    EvaluationMode::OptHyPE => Some(self.index_for_fingerprinted(
-                        &compiled,
-                        doc.tree(),
-                        doc.labels_fingerprint(),
-                        false,
-                    )),
-                    EvaluationMode::OptHyPEC => Some(self.index_for_fingerprinted(
-                        &compiled,
-                        doc.tree(),
-                        doc.labels_fingerprint(),
-                        true,
-                    )),
-                };
+                let index = self.index_for(&compiled, doc.tree(), mode);
                 Ok((doc, compiled, index))
             })
-            .collect()
-    }
-
-    /// The shared batch preamble of the sequential and parallel front-ends:
-    /// compile every query through the cache, deduplicate equivalent
-    /// spellings, and resolve each distinct compilation's index for `mode`.
-    #[allow(clippy::type_complexity)]
-    fn assemble_batch(
-        &self,
-        queries: &[&str],
-        doc: &XmlTree,
-        mode: EvaluationMode,
-    ) -> Result<
-        (
-            Vec<Arc<CompiledQuery>>,
-            Vec<Option<Arc<ReachabilityIndex>>>,
-            Vec<usize>,
-        ),
-        EngineError,
-    > {
-        let (unique, slot_of) = self.compile_deduped(queries)?;
-        let indexes = unique
+            .collect::<Result<_, EngineError>>()?;
+        let tasks: Vec<CorpusTask> = items
             .iter()
-            .map(|c| self.index_for_mode(c, doc, mode))
+            .map(|(doc, compiled, index)| CorpusTask {
+                tree: doc.tree(),
+                compiled: Arc::clone(compiled.compiled()),
+                index: index.as_deref(),
+            })
             .collect();
-        Ok((unique, indexes, slot_of))
-    }
-
-    /// Compiles every query through the cache and deduplicates equivalent
-    /// spellings (which come back as the same cached `Arc`): returns the
-    /// distinct compilations plus, per input position, the index of its
-    /// compilation in that list.
-    fn compile_deduped(
-        &self,
-        queries: &[&str],
-    ) -> Result<(Vec<Arc<CompiledQuery>>, Vec<usize>), EngineError> {
-        let compiled: Vec<Arc<CompiledQuery>> = queries
-            .iter()
-            .map(|q| self.compile(q))
-            .collect::<Result<_, _>>()?;
-        let mut unique: Vec<Arc<CompiledQuery>> = Vec::with_capacity(compiled.len());
-        let mut slot_of: Vec<usize> = Vec::with_capacity(compiled.len());
-        for c in &compiled {
-            let slot = unique
-                .iter()
-                .position(|u| Arc::ptr_eq(u, c))
-                .unwrap_or_else(|| {
-                    unique.push(Arc::clone(c));
-                    unique.len() - 1
-                });
-            slot_of.push(slot);
-        }
-        Ok((unique, slot_of))
+        Ok(evaluate_corpus_parallel(&tasks, self.parallel_threads))
     }
 
     /// Answers `query` over a **streamed** document read from `input`,
@@ -607,35 +429,92 @@ impl QueryService {
         query: &str,
         input: impl Read,
     ) -> Result<(HypeResult, StreamStats), EngineError> {
-        let compiled = self.compile(query)?;
-        compiled.evaluate_stream(input)
+        self.compile(query)?.evaluate_stream(input)
     }
 
-    /// Answers all of `queries` over one streamed document in a **single
-    /// pass**, combining the compiled-query cache with
-    /// [`smoqe_hype::evaluate_stream_batch`]. Results are index-aligned
-    /// with `queries`; equivalent spellings are deduplicated before
-    /// evaluation exactly as in [`Self::evaluate_batch`].
-    pub fn evaluate_stream_batch(
+    /// The tree front-ends' shared compile → index → run path: compile
+    /// every query through the cache, deduplicate equivalent spellings
+    /// (they come back as the same cached `Arc`), fetch each distinct
+    /// compilation's index for `mode`, evaluate the distinct queries in one
+    /// pass under `threads`, and fan the results back out to the caller's
+    /// positions.
+    fn run(
         &self,
         queries: &[&str],
-        input: impl Read,
-    ) -> Result<StreamResult, EngineError> {
-        let (unique, slot_of) = self.compile_deduped(queries)?;
+        doc: &XmlTree,
+        mode: EvaluationMode,
+        threads: usize,
+    ) -> Result<BatchResult, EngineError> {
+        let mut unique: Vec<Arc<CompiledQuery>> = Vec::with_capacity(queries.len());
+        let mut slot_of: Vec<usize> = Vec::with_capacity(queries.len());
+        for query in queries {
+            let compiled = self.compile(query)?;
+            let slot = match unique.iter().position(|u| Arc::ptr_eq(u, &compiled)) {
+                Some(slot) => slot,
+                None => {
+                    unique.push(compiled);
+                    unique.len() - 1
+                }
+            };
+            slot_of.push(slot);
+        }
+        let indexes: Vec<Option<Arc<ReachabilityIndex>>> =
+            unique.iter().map(|c| self.index_for(c, doc, mode)).collect();
         let batch: Vec<CompiledBatchQuery> = unique
             .iter()
-            .map(|c| CompiledBatchQuery::new(Arc::clone(c.compiled())))
+            .zip(&indexes)
+            .map(|(c, index)| CompiledBatchQuery {
+                compiled: Arc::clone(c.compiled()),
+                index: index.as_deref(),
+            })
             .collect();
-        let mut reader = XmlStreamReader::new(input);
-        let result = StreamHype::from_compiled(&batch, LabelInterner::new()).run(&mut reader)?;
-        let results = slot_of
-            .iter()
-            .map(|&slot| result.results[slot].clone())
-            .collect();
-        Ok(StreamResult {
-            results,
-            stats: result.stats,
-        })
+        let mut result = evaluate_tree(doc, doc.root(), &batch, threads);
+        if unique.len() < queries.len() {
+            result.results = slot_of.iter().map(|&slot| result.results[slot].clone()).collect();
+        }
+        Ok(result)
+    }
+
+    /// The cached OptHyPE(-C) index `mode` evaluates `compiled` with over
+    /// `doc` (`None` for plain HyPE), built and cached on first use. The
+    /// key's document half is the label fingerprint `doc`'s interner
+    /// carries, so it costs nothing to compute.
+    fn index_for(
+        &self,
+        compiled: &CompiledQuery,
+        doc: &XmlTree,
+        mode: EvaluationMode,
+    ) -> Option<Arc<ReachabilityIndex>> {
+        let compressed = mode.compressed_index()?;
+        let doc_labels = doc.labels().fingerprint();
+        let key = IndexKey {
+            query: compiled.query().to_string(),
+            doc_labels,
+            compressed,
+        };
+        if let Some(cached) = self.indexes.get(&key) {
+            self.index_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(cached);
+        }
+        self.index_misses.fetch_add(1, Ordering::Relaxed);
+        // A tainted fingerprint means *some* resident version with this
+        // interner layout is non-conformant; a pruning index cached under
+        // the shared key would serve that version wrongly, so every build
+        // under the fingerprint degrades to no-prune. (`build_index` itself
+        // also degrades when `doc` is the non-conformant one — the taint
+        // covers the conforming sibling that would otherwise repopulate the
+        // shared entry with pruning rows.)
+        let index = if self.tainted.lock().expect("taint set lock").contains(&doc_labels) {
+            Arc::new(ReachabilityIndex::no_prune(
+                compiled.compiled().labels(),
+                doc.labels(),
+                compressed,
+            ))
+        } else {
+            Arc::new(compiled.build_index(self.view().document_dtd(), doc, compressed))
+        };
+        self.indexes.insert(key, Arc::clone(&index));
+        Some(index)
     }
 
     /// The thread budget the `*_parallel` front-ends run under (0 = all
@@ -779,62 +658,6 @@ type CorpusItem = (
     Option<Arc<ReachabilityIndex>>,
 );
 
-/// Borrows the resolved requests as [`CorpusTask`]s for the hype corpus
-/// engines (the `Arc`s in `items` keep everything alive across the call).
-fn corpus_tasks(items: &[CorpusItem]) -> Vec<CorpusTask<'_>> {
-    items
-        .iter()
-        .map(|(doc, compiled, index)| CorpusTask {
-            tree: doc.tree(),
-            compiled: Arc::clone(compiled.compiled()),
-            index: index.as_deref(),
-        })
-        .collect()
-}
-
-/// Pairs each distinct compilation with its (optional) index as a borrow
-/// for the batch engines.
-fn to_batch_queries<'a>(
-    unique: &[Arc<CompiledQuery>],
-    indexes: &'a [Option<Arc<ReachabilityIndex>>],
-) -> Vec<CompiledBatchQuery<'a>> {
-    unique
-        .iter()
-        .zip(indexes)
-        .map(|(c, i)| CompiledBatchQuery {
-            compiled: Arc::clone(c.compiled()),
-            index: i.as_deref(),
-        })
-        .collect()
-}
-
-/// Fans a deduplicated batch result back out to the caller's query
-/// positions: slot `i` of the output clones the result of the distinct
-/// compilation that input `i` mapped to.
-fn fan_out(result: BatchResult, slot_of: &[usize]) -> BatchResult {
-    let results = slot_of
-        .iter()
-        .map(|&slot| result.results[slot].clone())
-        .collect();
-    BatchResult {
-        results,
-        stats: result.stats,
-    }
-}
-
-/// A stable fingerprint of a document's label interner. The reachability
-/// index maps `LabelId → row`, so documents sharing an interner layout (same
-/// names in the same id order — e.g. every document from one generator or
-/// parser run over one DTD) can share indexes. Uses the same FNV-1a folding
-/// as [`ViewDefinition::fingerprint`].
-fn labels_fingerprint(labels: &LabelInterner) -> u64 {
-    let mut h = smoqe_views::FINGERPRINT_SEED;
-    for (_, name) in labels.iter() {
-        h = smoqe_views::fingerprint_field(h, name.as_bytes());
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -899,7 +722,16 @@ mod tests {
                 EvaluationMode::OptHyPEC,
             ] {
                 let by_service = service.evaluate(query, &d, mode).unwrap();
-                let by_engine = engine.answer_with_stats(query, &d, mode).unwrap();
+                let compiled = engine.compile(query).unwrap();
+                let index = mode.compressed_index().map(|compressed| {
+                    compiled.build_index(engine.view().document_dtd(), &d, compressed)
+                });
+                let by_engine = smoqe_hype::evaluate_compiled_at_with(
+                    &d,
+                    d.root(),
+                    compiled.compiled(),
+                    index.as_ref(),
+                );
                 assert_eq!(by_service.answers, by_engine.answers, "on `{query}` ({mode:?})");
                 assert_eq!(by_service.stats, by_engine.stats, "on `{query}` ({mode:?})");
             }
@@ -1028,17 +860,22 @@ mod tests {
 
     #[test]
     fn stream_batch_dedupes_equivalent_spellings() {
+        // Equivalent spellings streamed one by one share one cached
+        // compilation and stream to identical results.
         let service = QueryService::hospital_demo();
         let d = doc(4);
         let xml = smoqe_xml::to_xml_string(&d);
         let queries = ["patient/record", "./patient/./record", "patient"];
-        let batch = service.evaluate_stream_batch(&queries, xml.as_bytes()).unwrap();
-        assert_eq!(batch.results.len(), 3);
-        assert_eq!(batch.stats.queries, 2, "two distinct compilations after dedup");
-        assert_eq!(batch.results[0].answers, batch.results[1].answers);
-        assert_eq!(batch.results[0].stats, batch.results[1].stats);
+        let results: Vec<HypeResult> = queries
+            .iter()
+            .map(|q| service.answer_stream(q, xml.as_bytes()).unwrap().0)
+            .collect();
+        assert_eq!(results.len(), 3);
+        assert_eq!(service.stats().compiled_misses, 2, "two distinct compilations after dedup");
+        assert_eq!(results[0].answers, results[1].answers);
+        assert_eq!(results[0].stats, results[1].stats);
         let (solo, _) = service.answer_stream("patient/record", xml.as_bytes()).unwrap();
-        assert_eq!(batch.results[1].answers, solo.answers);
+        assert_eq!(results[1].answers, solo.answers);
     }
 
     #[test]
@@ -1059,7 +896,11 @@ mod tests {
                 EvaluationMode::OptHyPEC,
             ] {
                 let sequential = service.evaluate(query, &d, mode).unwrap();
-                let parallel = service.answer_parallel(query, &d, mode).unwrap();
+                let parallel = service
+                    .evaluate_batch_parallel(&[query], &d, mode)
+                    .unwrap()
+                    .results
+                    .remove(0);
                 assert_eq!(parallel.answers, sequential.answers, "on `{query}` ({mode:?})");
                 assert_eq!(parallel.stats, sequential.stats, "on `{query}` ({mode:?})");
             }
@@ -1146,8 +987,15 @@ mod tests {
             EvaluationMode::OptHyPE,
             EvaluationMode::OptHyPEC,
         ] {
-            let reference = QueryService::hospital_demo();
-            let sequential = reference.evaluate_corpus(&store, &requests, mode).unwrap();
+            let reference = QueryService::with_config(
+                SmoqeEngine::hospital_demo().view().clone(),
+                ServiceConfig {
+                    parallel_threads: 1,
+                    ..ServiceConfig::default()
+                },
+            )
+            .unwrap();
+            let sequential = reference.evaluate_corpus_parallel(&store, &requests, mode).unwrap();
             assert_eq!(sequential.len(), requests.len());
             for (result, &(id, query)) in sequential.iter().zip(&requests) {
                 let solo = reference
@@ -1182,7 +1030,7 @@ mod tests {
         let store = DocumentStore::new();
         let a = store.insert_tree(doc(1));
         let b = store.insert_tree(doc(2)); // different interner layout than a
-        service.evaluate_corpus(&store, &[(a, "patient"), (b, "patient")], EvaluationMode::OptHyPE).unwrap();
+        service.evaluate_corpus_parallel(&store, &[(a, "patient"), (b, "patient")], EvaluationMode::OptHyPE).unwrap();
         assert_eq!(service.stats().index_cached, 2);
         assert!(service.remove_document(&store, a));
         let stats = service.stats();
@@ -1191,7 +1039,7 @@ mod tests {
         assert_eq!(stats.index_evictions, 0, "invalidation is not eviction");
         // b's entry is still hot: re-evaluating b hits, never rebuilds.
         let hits = stats.index_hits;
-        service.evaluate_corpus(&store, &[(b, "patient")], EvaluationMode::OptHyPE).unwrap();
+        service.evaluate_corpus_parallel(&store, &[(b, "patient")], EvaluationMode::OptHyPE).unwrap();
         assert_eq!(service.stats().index_hits, hits + 1);
         assert_eq!(service.stats().index_misses, 2);
         // Removing an unknown id is a no-op.
@@ -1225,7 +1073,7 @@ mod tests {
             "delete introduces no labels: the two documents share a fingerprint"
         );
         service
-            .evaluate_corpus(&store, &[(a, "patient")], EvaluationMode::OptHyPE)
+            .evaluate_corpus_parallel(&store, &[(a, "patient")], EvaluationMode::OptHyPE)
             .unwrap();
         assert_eq!(service.stats().index_cached, 1);
         // Removing a must NOT sweep the entry: b still keys into it.
@@ -1235,7 +1083,7 @@ mod tests {
         assert_eq!(stats.index_invalidations, 0);
         let hits = stats.index_hits;
         service
-            .evaluate_corpus(&store, &[(b, "patient")], EvaluationMode::OptHyPE)
+            .evaluate_corpus_parallel(&store, &[(b, "patient")], EvaluationMode::OptHyPE)
             .unwrap();
         assert_eq!(service.stats().index_hits, hits + 1, "b hits the shared entry");
     }
@@ -1247,7 +1095,7 @@ mod tests {
         let a = store.insert_tree(doc(1));
         let b = store.insert_tree(doc(2));
         service
-            .evaluate_corpus(&store, &[(a, "patient"), (b, "patient")], EvaluationMode::OptHyPE)
+            .evaluate_corpus_parallel(&store, &[(a, "patient"), (b, "patient")], EvaluationMode::OptHyPE)
             .unwrap();
         assert_eq!(service.stats().index_cached, 2);
 
@@ -1268,7 +1116,7 @@ mod tests {
         assert_eq!(stats.index_invalidations, 0);
         let hits = stats.index_hits;
         service
-            .evaluate_corpus(&store, &[(r1.new_id, "patient")], EvaluationMode::OptHyPE)
+            .evaluate_corpus_parallel(&store, &[(r1.new_id, "patient")], EvaluationMode::OptHyPE)
             .unwrap();
         assert_eq!(
             service.stats().index_hits,
@@ -1297,7 +1145,7 @@ mod tests {
         assert_eq!(stats.index_invalidations, 1);
         let hits = stats.index_hits;
         service
-            .evaluate_corpus(&store, &[(b, "patient")], EvaluationMode::OptHyPE)
+            .evaluate_corpus_parallel(&store, &[(b, "patient")], EvaluationMode::OptHyPE)
             .unwrap();
         assert_eq!(service.stats().index_hits, hits + 1, "b's entry stayed hot");
 
@@ -1474,7 +1322,15 @@ mod tests {
                 "lost the smuggled diagnosis under {mode:?}"
             );
             // The engine path (fresh index per call) must agree too.
-            let by_engine = engine.answer_with_stats("diagnosis", new_tree, mode).unwrap();
+            let compiled = engine.compile("diagnosis").unwrap();
+            let compressed = mode.compressed_index().expect("an Opt mode");
+            let index = compiled.build_index(engine.view().document_dtd(), new_tree, compressed);
+            let by_engine = smoqe_hype::evaluate_compiled_at_with(
+                new_tree,
+                new_tree.root(),
+                compiled.compiled(),
+                Some(&index),
+            );
             assert_eq!(by_engine.answers, oracle.answers);
         }
     }
@@ -1486,7 +1342,7 @@ mod tests {
         let known = store.insert_tree(doc(1));
         let missing = DocId(known.0 ^ 1);
         let err = service
-            .evaluate_corpus(
+            .evaluate_corpus_parallel(
                 &store,
                 &[(known, "patient"), (missing, "patient")],
                 EvaluationMode::HyPE,
@@ -1508,7 +1364,7 @@ mod tests {
             (a, "patient/record"),
         ];
         service
-            .evaluate_corpus(&store, &requests, EvaluationMode::OptHyPE)
+            .evaluate_corpus_parallel(&store, &requests, EvaluationMode::OptHyPE)
             .unwrap();
         let stats = service.stats();
         assert_eq!(stats.compiled_misses, 1, "one spelling, one compilation");

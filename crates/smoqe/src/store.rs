@@ -3,10 +3,10 @@
 //! The paper's serving setting is a *corpus* of security-view documents
 //! queried repeatedly. [`DocumentStore`] owns that corpus: each document is
 //! held as its parsed arena **plus** its binary snapshot, keyed by a
-//! content-addressed [`DocId`] (the snapshot body checksum), with the
-//! label-interner fingerprint precomputed so the query service's
-//! reachability-index cache is keyed without rehashing label tables on
-//! every request.
+//! content-addressed [`DocId`] (the snapshot body checksum). The
+//! label-interner fingerprint that keys the query service's
+//! reachability-index cache is carried by the interner itself, so no
+//! request rehashes a label table.
 //!
 //! Three ways in, one representation inside:
 //!
@@ -30,9 +30,8 @@
 //! `Arc<Vec<u8>>` to the *base* bytes it was originally ingested with and a
 //! [`DeltaTail`] (rewritten header + appended delta-log records), so a
 //! chain of edited generations shares one copy of the base sections. The
-//! arena is re-edited in memory (cheap relative to the snapshot) and the
-//! label fingerprint is recomputed **incrementally** from the interner tail
-//! — the full rescan stays on as a debug oracle.
+//! arena is re-edited in memory (cheap relative to the snapshot), and the
+//! interner folds any new labels into its fingerprint as they are interned.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -41,10 +40,7 @@ use std::fmt;
 use std::sync::{Arc, RwLock};
 
 use smoqe_xml::snapshot::{self, DeltaTail, SnapshotError};
-use smoqe_xml::{
-    labels_fingerprint, labels_fingerprint_from, parse_document, EditOp, ParseError, XmlError,
-    XmlTree,
-};
+use smoqe_xml::{parse_document, EditOp, ParseError, XmlError, XmlTree};
 
 /// Content-addressed identifier of a stored document: the FNV-1a checksum
 /// of its snapshot body. Two structurally identical documents (same labels,
@@ -59,9 +55,8 @@ impl fmt::Display for DocId {
     }
 }
 
-/// One resident document version: the parsed arena ready for evaluation,
-/// the snapshot bytes it round-trips through, and the precomputed
-/// cache-key fingerprint of its label interner.
+/// One resident document version: the parsed arena ready for evaluation
+/// and the snapshot bytes it round-trips through.
 ///
 /// A generation-0 document (fresh ingest) owns its snapshot outright. An
 /// edited generation holds the *base* bytes by `Arc` — shared with every
@@ -71,7 +66,6 @@ impl fmt::Display for DocId {
 #[derive(Debug)]
 pub struct StoredDocument {
     tree: XmlTree,
-    labels_fingerprint: u64,
     generation: u32,
     base: Arc<Vec<u8>>,
     tail: Option<DeltaTail>,
@@ -86,10 +80,10 @@ impl StoredDocument {
     }
 
     /// The stable fingerprint of the document's label-interner layout —
-    /// the reachability-index cache key half, precomputed at insert time
-    /// and maintained incrementally across edits.
+    /// the reachability-index cache key half, as the interner carries it
+    /// ([`LabelInterner::fingerprint`](smoqe_xml::LabelInterner::fingerprint)).
     pub fn labels_fingerprint(&self) -> u64 {
-        self.labels_fingerprint
+        self.tree.labels().fingerprint()
     }
 
     /// How many [`DocumentStore::apply_edit`] calls separate this version
@@ -232,11 +226,9 @@ impl DocumentStore {
     fn insert_parts(&self, tree: XmlTree, bytes: Vec<u8>) -> DocId {
         let header = snapshot::peek_header(&bytes).expect("save/load produce valid snapshots");
         let id = DocId(header.body_checksum);
-        debug_assert_eq!(header.labels_fingerprint, labels_fingerprint(tree.labels()));
         let mut docs = self.docs.write().unwrap_or_else(|p| p.into_inner());
         docs.entry(id).or_insert_with(|| {
             Arc::new(StoredDocument {
-                labels_fingerprint: header.labels_fingerprint,
                 tree,
                 generation: 0,
                 base: Arc::new(bytes),
@@ -253,9 +245,8 @@ impl DocumentStore {
     /// The new version shares the old one's base snapshot bytes by `Arc`
     /// and records the ops in its [`DeltaTail`] delta log, so the snapshot
     /// cost of an edit is proportional to the edit, not the document. The
-    /// label fingerprint is advanced incrementally from the interner tail
-    /// (the interner is append-only under edits); a full rescan backs it as
-    /// a `debug_assert` oracle.
+    /// label fingerprint is the one the edited tree's interner carries
+    /// (interning new labels folds them in).
     ///
     /// Content addressing still holds: if the edited snapshot already
     /// exists in the store (e.g. two bases edited into the same state), the
@@ -263,17 +254,10 @@ impl DocumentStore {
     pub fn apply_edit(&self, id: DocId, ops: &[EditOp]) -> Result<EditReceipt, StoreError> {
         let old = self.get(id).ok_or(StoreError::UnknownDocument(id))?;
         let mut tree = old.tree.clone();
-        let first_new = tree.labels().len();
         for op in ops {
             tree.apply(op)?;
         }
-        let new_fingerprint =
-            labels_fingerprint_from(old.labels_fingerprint, tree.labels(), first_new);
-        debug_assert_eq!(
-            new_fingerprint,
-            labels_fingerprint(tree.labels()),
-            "incremental fingerprint must match the full-rescan oracle"
-        );
+        let new_fingerprint = tree.labels().fingerprint();
         let tail = snapshot::extend_snapshot(&old.snapshot_bytes(), ops, new_fingerprint)?;
         let new_id = DocId(
             snapshot::peek_header(tail.header_bytes())
@@ -284,7 +268,7 @@ impl DocumentStore {
         let receipt = EditReceipt {
             old_id: id,
             new_id,
-            old_fingerprint: old.labels_fingerprint,
+            old_fingerprint: old.labels_fingerprint(),
             new_fingerprint,
             generation,
         };
@@ -297,7 +281,6 @@ impl DocumentStore {
         docs.entry(new_id).or_insert_with(|| {
             Arc::new(StoredDocument {
                 tree,
-                labels_fingerprint: new_fingerprint,
                 generation,
                 base: Arc::clone(&old.base),
                 tail: Some(tail),
@@ -315,7 +298,7 @@ impl DocumentStore {
             .read()
             .unwrap_or_else(|p| p.into_inner())
             .values()
-            .any(|d| d.labels_fingerprint == fingerprint)
+            .any(|d| d.labels_fingerprint() == fingerprint)
     }
 
     /// Looks up a document by id. The returned `Arc` stays valid however
@@ -373,6 +356,7 @@ impl DocumentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smoqe_xml::labels_fingerprint;
     use smoqe_xml::snapshot::SnapshotError;
 
     #[test]

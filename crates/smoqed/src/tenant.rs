@@ -196,6 +196,13 @@ fn unknown_tenant(tenant: &str) -> Response {
     )
 }
 
+fn unknown_document(tenant: &str, doc: u64) -> Response {
+    err(
+        ErrorCode::UnknownDocument,
+        format!("{} is not in tenant {tenant:?}'s store", DocId(doc)),
+    )
+}
+
 /// Converts wire edit ops (subtrees as snapshot bytes) into arena
 /// [`EditOp`]s, validating each payload.
 fn decode_ops(ops: &[WireEditOp]) -> Result<Vec<EditOp>, Box<Response>> {
@@ -268,19 +275,11 @@ pub fn handle_request(
             let Some(entry) = registry.get(tenant) else {
                 return unknown_tenant(tenant);
             };
-            // Route through the corpus path: it resolves the DocId in the
-            // tenant's store (typed UnknownDocument on a miss) and reuses
-            // the store's precomputed label fingerprint for the index
-            // cache key.
-            match entry.service.evaluate_corpus(
-                &entry.store,
-                &[(DocId(*doc), query.as_str())],
-                *mode,
-            ) {
-                Ok(mut results) => {
-                    let result = results.pop().expect("one task in, one result out");
-                    Response::Answer(WireResult::from_result(&result))
-                }
+            let Some(stored) = entry.store.get(DocId(*doc)) else {
+                return unknown_document(tenant, *doc);
+            };
+            match entry.service.evaluate(query, stored.tree(), *mode) {
+                Ok(result) => Response::Answer(WireResult::from_result(&result)),
                 Err(e) => engine_error(e),
             }
         }
@@ -289,10 +288,7 @@ pub fn handle_request(
                 return unknown_tenant(tenant);
             };
             let Some(stored) = entry.store.get(DocId(*doc)) else {
-                return err(
-                    ErrorCode::UnknownDocument,
-                    format!("{} is not in tenant {tenant:?}'s store", DocId(*doc)),
-                );
+                return unknown_document(tenant, *doc);
             };
             let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
             match entry.service.evaluate_batch(&refs, stored.tree(), *mode) {

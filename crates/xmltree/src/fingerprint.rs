@@ -8,7 +8,8 @@
 //!   fingerprint in the workspace is a fold of length-delimited fields
 //!   through this function, starting from [`FINGERPRINT_SEED`].
 //! * [`labels_fingerprint`] — the canonical fingerprint of a document's
-//!   [`LabelInterner`] layout. It keys the query service's
+//!   [`LabelInterner`] layout, maintained incrementally by
+//!   [`LabelInterner::fingerprint`]. It keys the query service's
 //!   reachability-index cache and is stored verbatim in every snapshot
 //!   header ([`crate::snapshot`]), so an index cached for a parsed document
 //!   is found again for the snapshot-loaded copy of the same document.
@@ -57,6 +58,11 @@ fn fingerprint_tag(h: u64, tag: u8) -> u64 {
 /// label name folded in id order (insertion order), starting from
 /// [`FINGERPRINT_SEED`].
 ///
+/// This is the full-rescan definition. [`LabelInterner::fingerprint`]
+/// maintains the same fold incrementally as names are interned and is what
+/// production code reads; this function is the oracle the tests check it
+/// against.
+///
 /// Reachability indexes map `LabelId → row`, so two documents may share an
 /// index exactly when their interners assign the same names in the same
 /// order — which is exactly when their `labels_fingerprint` agrees. The
@@ -74,36 +80,6 @@ fn fingerprint_tag(h: u64, tag: u8) -> u64 {
 pub fn labels_fingerprint(labels: &LabelInterner) -> u64 {
     let mut h = FINGERPRINT_SEED;
     for (_, name) in labels.iter() {
-        h = fingerprint_field(h, name.as_bytes());
-    }
-    h
-}
-
-/// Incrementally extends a label fingerprint after an edit.
-///
-/// The interner is append-only under subtree edits — inserting a subtree can
-/// only add *new* labels at the end of the id order — and
-/// [`labels_fingerprint`] is a left fold over names in id order, so the
-/// fingerprint of the grown interner is the old fingerprint with just the
-/// new tail folded on. `prev` must be the fingerprint of the first
-/// `first_new` labels of `labels`; the full rescan is the oracle:
-///
-/// ```
-/// use smoqe_xml::{labels_fingerprint, labels_fingerprint_from, LabelInterner};
-///
-/// let mut labels = LabelInterner::new();
-/// labels.intern("hospital");
-/// let before = (labels_fingerprint(&labels), labels.len());
-/// labels.intern("patient");
-/// labels.intern("ward");
-/// assert_eq!(
-///     labels_fingerprint_from(before.0, &labels, before.1),
-///     labels_fingerprint(&labels),
-/// );
-/// ```
-pub fn labels_fingerprint_from(prev: u64, labels: &LabelInterner, first_new: usize) -> u64 {
-    let mut h = prev;
-    for (_, name) in labels.iter().skip(first_new) {
         h = fingerprint_field(h, name.as_bytes());
     }
     h
@@ -208,17 +184,16 @@ mod tests {
         for name in ["hospital", "department", "patient"] {
             labels.intern(name);
         }
-        let prev = labels_fingerprint(&labels);
-        let first_new = labels.len();
+        let prev = labels.fingerprint();
+        assert_eq!(prev, labels_fingerprint(&labels));
         // No growth: the fingerprint is unchanged.
-        assert_eq!(labels_fingerprint_from(prev, &labels, first_new), prev);
+        labels.intern("patient");
+        assert_eq!(labels.fingerprint(), prev);
         for name in ["ward", "treatment"] {
             labels.intern(name);
         }
-        assert_eq!(
-            labels_fingerprint_from(prev, &labels, first_new),
-            labels_fingerprint(&labels),
-        );
+        assert_ne!(labels.fingerprint(), prev);
+        assert_eq!(labels.fingerprint(), labels_fingerprint(&labels));
     }
 
     #[test]

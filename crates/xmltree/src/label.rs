@@ -7,6 +7,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::fingerprint::{fingerprint_field, FINGERPRINT_SEED};
+
 /// A dense identifier for an interned element label (tag name).
 ///
 /// Ids are assigned consecutively starting from zero by a [`LabelInterner`],
@@ -33,10 +35,25 @@ impl fmt::Debug for LabelId {
 /// The interner is shared by a document tree, its DTD, the queries posed on
 /// it and the automata compiled from those queries, so that the same tag
 /// always maps to the same id.
-#[derive(Debug, Clone, Default)]
+///
+/// It also carries the fingerprint of its own layout ([`Self::fingerprint`]),
+/// folded in as names are first interned, so the reachability-index cache
+/// key of a document costs nothing to read.
+#[derive(Debug, Clone)]
 pub struct LabelInterner {
     by_name: HashMap<String, LabelId>,
     names: Vec<String>,
+    fingerprint: u64,
+}
+
+impl Default for LabelInterner {
+    fn default() -> Self {
+        LabelInterner {
+            by_name: HashMap::new(),
+            names: Vec::new(),
+            fingerprint: FINGERPRINT_SEED,
+        }
+    }
 }
 
 impl LabelInterner {
@@ -54,7 +71,28 @@ impl LabelInterner {
         let id = LabelId(self.names.len() as u32);
         self.names.push(name.to_owned());
         self.by_name.insert(name.to_owned(), id);
+        self.fingerprint = fingerprint_field(self.fingerprint, name.as_bytes());
         id
+    }
+
+    /// The stable fingerprint of this interner's layout: every name folded
+    /// in id order. Interning only appends, so the value is maintained
+    /// incrementally and always equals the full rescan
+    /// [`crate::labels_fingerprint`]:
+    ///
+    /// ```
+    /// use smoqe_xml::{labels_fingerprint, LabelInterner};
+    ///
+    /// let mut labels = LabelInterner::new();
+    /// labels.intern("hospital");
+    /// let before = labels.fingerprint();
+    /// labels.intern("patient");
+    /// labels.intern("ward");
+    /// assert_ne!(labels.fingerprint(), before);
+    /// assert_eq!(labels.fingerprint(), labels_fingerprint(&labels));
+    /// ```
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Looks up an already-interned name without inserting it.
@@ -138,6 +176,24 @@ mod tests {
         interner.intern("y");
         let collected: Vec<_> = interner.iter().map(|(_, n)| n.to_owned()).collect();
         assert_eq!(collected, vec!["x", "y"]);
+    }
+
+    #[test]
+    fn cached_fingerprint_follows_edits_that_add_labels() {
+        let mut tree = crate::parse_document("<r><a/></r>").unwrap();
+        let before = tree.labels().fingerprint();
+        // Known labels only: the fingerprint does not move.
+        let known = crate::parse_document("<a/>").unwrap();
+        tree.insert_subtree(tree.root(), 0, &known).unwrap();
+        assert_eq!(tree.labels().fingerprint(), before);
+        // New labels: it advances, and still equals the rescan.
+        let grown = crate::parse_document("<b><c/></b>").unwrap();
+        tree.insert_subtree(tree.root(), 0, &grown).unwrap();
+        assert_ne!(tree.labels().fingerprint(), before);
+        assert_eq!(
+            tree.labels().fingerprint(),
+            crate::labels_fingerprint(tree.labels())
+        );
     }
 
     #[test]

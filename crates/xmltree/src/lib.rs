@@ -42,8 +42,7 @@ pub use dtd_parse::{parse_dtd, parse_dtd_with_root, to_dtd_string};
 pub use edit::{EditOp, EditScript};
 pub use error::{ParseError, XmlError};
 pub use fingerprint::{
-    fingerprint_content_model, fingerprint_field, labels_fingerprint, labels_fingerprint_from,
-    FINGERPRINT_SEED,
+    fingerprint_content_model, fingerprint_field, labels_fingerprint, FINGERPRINT_SEED,
 };
 pub use label::{LabelId, LabelInterner};
 pub use parse::parse_document;

@@ -78,9 +78,9 @@
 //!
 //! * [`load`]`(`[`save`]`(t))` rebuilds an arena identical to `t`: same node
 //!   ids, labels, label-interner layout (and hence the same
-//!   [`labels_fingerprint`], so cached
+//!   [`labels_fingerprint`](crate::labels_fingerprint), so cached
 //!   reachability indexes keyed on it are shared), same text, same children.
-//! * Loading goes through [`XmlTreeBuilder`], so the process-wide
+//! * Loading goes through [`XmlTreeBuilder`], so the per-thread
 //!   [`node_allocations`](crate::node_allocations) counter stays honest.
 //! * Corrupted, truncated, or wrong-version input yields a typed
 //!   [`SnapshotError`] — never a panic.
@@ -90,7 +90,7 @@
 use std::ops::Range;
 
 use crate::edit::EditOp;
-use crate::fingerprint::{labels_fingerprint, FINGERPRINT_SEED};
+use crate::fingerprint::FINGERPRINT_SEED;
 use crate::label::LabelId;
 use crate::tree::{NodeId, XmlTree, XmlTreeBuilder};
 
@@ -245,7 +245,7 @@ pub fn save(tree: &XmlTree) -> Vec<u8> {
     out.extend_from_slice(&(node_count as u32).to_le_bytes());
     out.extend_from_slice(&(label_count as u32).to_le_bytes());
     out.extend_from_slice(&tree.root().0.to_le_bytes());
-    out.extend_from_slice(&labels_fingerprint(tree.labels()).to_le_bytes());
+    out.extend_from_slice(&tree.labels().fingerprint().to_le_bytes());
     out.extend_from_slice(&text_blob_len.to_le_bytes());
     out.extend_from_slice(&body_checksum(&body).to_le_bytes());
     out.extend_from_slice(&body);
@@ -355,7 +355,7 @@ pub fn load(bytes: &[u8]) -> Result<XmlTree, SnapshotError> {
             )));
         }
         // In version 1 the header fingerprint is the base interner's.
-        let computed_labels = labels_fingerprint(tree.labels());
+        let computed_labels = tree.labels().fingerprint();
         if computed_labels != header.labels_fingerprint {
             return Err(SnapshotError::Corrupt(format!(
                 "label-table fingerprint {computed_labels:#018x} does not match header \
@@ -381,7 +381,7 @@ pub fn load(bytes: &[u8]) -> Result<XmlTree, SnapshotError> {
             body.len() - cur.pos
         )));
     }
-    let computed_labels = labels_fingerprint(tree.labels());
+    let computed_labels = tree.labels().fingerprint();
     if computed_labels != header.labels_fingerprint {
         return Err(SnapshotError::Corrupt(format!(
             "replayed label fingerprint {computed_labels:#018x} does not match header \
@@ -653,8 +653,9 @@ impl DeltaTail {
 /// `snapshot` may be version 1 (the log starts empty) or version 2 (the
 /// existing log is extended). `final_labels_fingerprint` must be the
 /// fingerprint of the fully-edited tree's interner — callers that already
-/// applied `ops` in memory have it (incrementally, via
-/// [`crate::labels_fingerprint_from`]); use [`save_delta`] to have it
+/// applied `ops` in memory have it (the interner maintains it, see
+/// [`LabelInterner::fingerprint`](crate::LabelInterner::fingerprint)); use
+/// [`save_delta`] to have it
 /// computed by replay. Ops are validated structurally (encodable payloads)
 /// but **not** replayed here; a log that does not apply is caught by
 /// [`load`].
@@ -729,13 +730,14 @@ pub fn save_delta(snapshot: &[u8], ops: &[EditOp]) -> Result<Vec<u8>, SnapshotEr
             SnapshotError::Corrupt(format!("delta op {i} does not apply: {e}"))
         })?;
     }
-    let tail = extend_snapshot(snapshot, ops, labels_fingerprint(tree.labels()))?;
+    let tail = extend_snapshot(snapshot, ops, tree.labels().fingerprint())?;
     Ok(tail.assemble(snapshot))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::labels_fingerprint;
     use crate::parse::parse_document;
 
     fn sample() -> XmlTree {

@@ -5,21 +5,31 @@
 //! cloning of node handles, and lets the evaluation algorithms of the paper
 //! (HyPE and the baselines) use plain integer-indexed side tables.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use crate::error::XmlError;
 use crate::label::{LabelId, LabelInterner};
 
-/// Process-wide count of arena nodes ever allocated by [`XmlTreeBuilder`]s
-/// (and therefore by [`crate::parse_document`], which builds through one).
-static NODE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count of arena nodes ever allocated by [`XmlTreeBuilder`]s
+    /// (and therefore by [`crate::parse_document`], which builds through
+    /// one) and by subtree grafts.
+    static NODE_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total number of arena nodes allocated in this process so far.
+/// Adds `n` to the calling thread's arena-node allocation count.
+fn count_allocations(n: usize) {
+    NODE_ALLOCATIONS.with(|c| c.set(c.get() + n as u64));
+}
+
+/// Total number of arena nodes allocated **by the calling thread** so far.
 ///
-/// The counter only ever grows; take a snapshot before a region of interest
-/// and diff afterwards. The streaming benchmark and tests use this to
-/// *prove* that evaluating over [`crate::stream`] events never materializes
-/// an arena tree:
+/// Trees are always built on the thread that calls the builder, parser or
+/// graft, so the count of a region of interest is exact even while other
+/// threads (say, sibling tests) build trees of their own. The counter only
+/// ever grows; take a snapshot before the region and diff afterwards. The
+/// streaming benchmark and tests use this to *prove* that evaluating over
+/// [`crate::stream`] events never materializes an arena tree:
 ///
 /// ```
 /// use smoqe_xml::{node_allocations, parse_document};
@@ -33,7 +43,7 @@ static NODE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// assert_eq!(node_allocations() - before, 0);
 /// ```
 pub fn node_allocations() -> u64 {
-    NODE_ALLOCATIONS.load(Ordering::Relaxed)
+    NODE_ALLOCATIONS.with(Cell::get)
 }
 
 /// Identifier of a node inside one [`XmlTree`] arena.
@@ -382,7 +392,7 @@ impl XmlTree {
             .iter()
             .map(|(_, name)| self.labels.intern(name))
             .collect();
-        NODE_ALLOCATIONS.fetch_add(subtree.len() as u64, Ordering::Relaxed);
+        count_allocations(subtree.len());
         for id in subtree.node_ids() {
             let node = subtree.node(id);
             self.nodes.push(Node {
@@ -583,7 +593,7 @@ impl XmlTreeBuilder {
     /// Creates the root element. Must be called exactly once, first.
     pub fn root(&mut self, label: &str) -> NodeId {
         assert!(self.root.is_none(), "root() called twice");
-        NODE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocations(1);
         let label = self.labels.intern(label);
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
@@ -604,7 +614,7 @@ impl XmlTreeBuilder {
 
     /// Appends a child element with an already-interned label.
     pub fn child_interned(&mut self, parent: NodeId, label: LabelId) -> NodeId {
-        NODE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocations(1);
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             label,
@@ -807,8 +817,6 @@ mod tests {
         let dept = t.children(t.root())[0];
         let before = node_allocations();
         t.insert_subtree(dept, 1, &payload()).unwrap();
-        // The counter is process-global and other tests run concurrently, so
-        // only a lower bound is exact.
         assert!(node_allocations() - before >= 3);
     }
 

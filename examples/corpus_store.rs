@@ -8,12 +8,12 @@
 //!    arena (same node ids, label ids, text), faster than re-parsing XML.
 //! 2. **`DocumentStore`** — a corpus keyed by content: the `DocId` is the
 //!    snapshot body checksum, so duplicates deduplicate on insert by any
-//!    route, and every stored document carries its precomputed
-//!    label-interner fingerprint for the service's index cache.
-//! 3. **Corpus serving** — `QueryService::evaluate_corpus(_parallel)`
+//!    route, and every stored document's label interner carries the
+//!    fingerprint that keys the service's index cache.
+//! 3. **Corpus serving** — `QueryService::evaluate_corpus_parallel`
 //!    answers a batch of (document, query) requests, routed *across
-//!    documents* over the thread budget, bit-identical to the sequential
-//!    loop (checked live below).
+//!    documents* over the thread budget, bit-identical to the same call at
+//!    a budget of one thread (checked live below).
 //!
 //! Run with: `cargo run --example corpus_store`
 
@@ -83,7 +83,14 @@ fn main() {
         .iter()
         .flat_map(|&id| queries.iter().map(move |&q| (id, q)))
         .collect();
-    let sequential_service = QueryService::hospital_demo();
+    let sequential_service = QueryService::with_config(
+        SmoqeEngine::hospital_demo().view().clone(),
+        ServiceConfig {
+            parallel_threads: 1,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("σ₀ is a valid view");
     let parallel_service = QueryService::with_config(
         SmoqeEngine::hospital_demo().view().clone(),
         ServiceConfig {
@@ -95,7 +102,7 @@ fn main() {
 
     let (sequential, seq_ms) = timed(|| {
         sequential_service
-            .evaluate_corpus(&store, &requests, EvaluationMode::OptHyPE)
+            .evaluate_corpus_parallel(&store, &requests, EvaluationMode::OptHyPE)
             .unwrap()
     });
     let (parallel, par_ms) = timed(|| {

@@ -14,6 +14,7 @@
 //!
 //! Run with: `cargo run --release -p smoqe-examples --bin heredity_patterns`
 
+use smoqe::hype::evaluate_compiled_at_with;
 use smoqe::{EvaluationMode, RegularXPathEngine};
 use smoqe_examples::{section, timed};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
@@ -50,7 +51,12 @@ fn main() {
         ("OptHyPE", EvaluationMode::OptHyPE),
         ("OptHyPE-C", EvaluationMode::OptHyPEC),
     ] {
-        let (result, ms) = timed(|| compiled.evaluate_with_mode(&doc, &dtd, mode));
+        let (result, ms) = timed(|| {
+            let index = mode
+                .compressed_index()
+                .map(|compressed| compiled.build_index(&dtd, &doc, compressed));
+            evaluate_compiled_at_with(&doc, doc.root(), compiled.compiled(), index.as_ref())
+        });
         println!(
             "  {:<10} {:>5} matches  {:>9.2} ms  visited {:>7}/{} nodes ({:.1}% pruned)",
             name,

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release -p smoqe-examples --bin hospital_access_control`
 
-use smoqe::{EvaluationMode, SmoqeEngine};
+use smoqe::{EvaluationMode, QueryService};
 use smoqe_examples::{human_bytes, section, timed};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 
@@ -18,7 +18,7 @@ fn main() {
         sibling_probability: 0.4,
         ..Default::default()
     });
-    let engine = SmoqeEngine::hospital_demo();
+    let service = QueryService::hospital_demo();
 
     section("Underlying document (never exposed)");
     println!(
@@ -43,8 +43,8 @@ fn main() {
     ];
     for query in research_queries {
         let (result, ms) = timed(|| {
-            engine
-                .answer_with_stats(query, &doc, EvaluationMode::OptHyPE)
+            service
+                .evaluate(query, &doc, EvaluationMode::OptHyPE)
                 .expect("valid query")
         });
         println!(
@@ -67,7 +67,10 @@ fn main() {
     ];
     let mut leaked = 0;
     for query in forbidden_queries {
-        let answers = engine.answer(query, &doc).expect("query parses");
+        let answers = service
+            .evaluate(query, &doc, EvaluationMode::HyPE)
+            .expect("query parses")
+            .answers;
         println!(
             "  {:<60} -> {} nodes {}",
             query,

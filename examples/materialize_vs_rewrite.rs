@@ -9,7 +9,8 @@
 //!
 //! Run with: `cargo run --release -p smoqe-examples --bin materialize_vs_rewrite`
 
-use smoqe::{EvaluationMode, SmoqeEngine};
+use smoqe::hype::evaluate_compiled_at_with;
+use smoqe::SmoqeEngine;
 use smoqe_examples::{human_bytes, section, timed};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_views::materialize;
@@ -59,15 +60,11 @@ fn main() {
     let mut opt_pruned = Vec::new();
     for query in queries {
         // Rewriting pipeline on the virtual view.
-        let (hype, _) = timed(|| {
-            engine
-                .answer_with_stats(query, &doc, EvaluationMode::HyPE)
-                .expect("valid query")
-        });
+        let (hype, _) = timed(|| engine.compile(query).expect("valid query").evaluate(&doc));
         let (opt, ms_rewrite) = timed(|| {
-            engine
-                .answer_with_stats(query, &doc, EvaluationMode::OptHyPE)
-                .expect("valid query")
+            let compiled = engine.compile(query).expect("valid query");
+            let index = compiled.build_index(engine.view().document_dtd(), &doc, false);
+            evaluate_compiled_at_with(&doc, doc.root(), compiled.compiled(), Some(&index))
         });
         // Evaluation on the (already paid-for) materialized view.
         let q = parse_path(query).unwrap();

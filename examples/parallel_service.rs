@@ -5,8 +5,8 @@
 //! 1. **One service, many threads** — a single [`smoqe::QueryService`] is
 //!    shared (plain `Arc`) by a pool of request threads; its segmented LRU
 //!    caches hand every thread the same compiled query without recompiling.
-//! 2. **One query, many threads** — `answer_parallel` /
-//!    `evaluate_batch_parallel` shard a single document's top-level
+//! 2. **One query, many threads** — `evaluate_batch_parallel` (a solo
+//!    query is a batch of one) shards a single document's top-level
 //!    subtrees across a thread budget, with answers and statistics
 //!    *identical* to the sequential path (checked live below).
 //!
@@ -55,8 +55,12 @@ fn main() {
     for q in &queries {
         let (sequential, seq_ms) =
             timed(|| service.evaluate(q, &doc, EvaluationMode::HyPE).unwrap());
-        let (parallel, par_ms) =
-            timed(|| service.answer_parallel(q, &doc, EvaluationMode::HyPE).unwrap());
+        let (mut parallel, par_ms) = timed(|| {
+            service
+                .evaluate_batch_parallel(&[q], &doc, EvaluationMode::HyPE)
+                .unwrap()
+        });
+        let parallel = parallel.results.remove(0);
         assert_eq!(parallel.answers, sequential.answers);
         assert_eq!(parallel.stats, sequential.stats);
         println!(
@@ -103,7 +107,11 @@ fn main() {
             scope.spawn(move || {
                 for round in 0..5 {
                     let q = queries[(t + round) % queries.len()];
-                    let a = service.answer_parallel(q, &doc, EvaluationMode::HyPE).unwrap();
+                    let a = service
+                        .evaluate_batch_parallel(&[q], &doc, EvaluationMode::HyPE)
+                        .unwrap()
+                        .results
+                        .remove(0);
                     let b = service.evaluate(q, &doc, EvaluationMode::HyPE).unwrap();
                     assert_eq!(a.answers, b.answers, "thread {t} round {round}");
                 }

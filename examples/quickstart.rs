@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p smoqe-examples --bin quickstart`
 
-use smoqe::{EvaluationMode, SmoqeEngine};
+use smoqe::{EvaluationMode, QueryService};
 use smoqe_examples::{section, timed};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_views::materialize;
@@ -24,9 +24,9 @@ fn main() {
     //    only heart-disease patients, their ancestor hierarchy and their
     //    diagnoses are visible; names, addresses, doctors, tests and
     //    siblings are hidden.
-    let engine = SmoqeEngine::hospital_demo();
+    let service = QueryService::hospital_demo();
     section("View definition σ₀");
-    for ((parent, child), query) in engine.view().annotations() {
+    for ((parent, child), query) in service.view().annotations() {
         println!("  σ({parent}, {child}) = {query}");
     }
 
@@ -38,8 +38,8 @@ fn main() {
 
     // 4. Answer it by rewriting + single-pass evaluation (no materialization).
     let (result, ms) = timed(|| {
-        engine
-            .answer_with_stats(query, &doc, EvaluationMode::OptHyPE)
+        service
+            .evaluate(query, &doc, EvaluationMode::OptHyPE)
             .expect("query answers on the view")
     });
     section("Answer via rewriting (SMOQE)");
@@ -54,7 +54,7 @@ fn main() {
 
     // 5. Cross-check against materialize-then-evaluate (what SMOQE avoids).
     let (expected, ms_mat) = timed(|| {
-        let view = materialize(engine.view(), &doc).expect("materialization");
+        let view = materialize(service.view(), &doc).expect("materialization");
         let q = parse_path(query).unwrap();
         let on_view = evaluate(&view.tree, view.tree.root(), &q);
         view.origins_of(&on_view)

@@ -37,14 +37,13 @@ use std::sync::Arc;
 
 use smoqe::{CompiledQuery, EvaluationMode, RegularXPathEngine, SmoqeEngine};
 use smoqe_hype::{
-    evaluate_batch_parallel_at, evaluate_parallel, evaluate_stream, interpreted,
-    CompiledBatchQuery, IncrementalEvaluator, IncrementalQuery,
+    evaluate_tree, CompiledBatchQuery, IncrementalEvaluator, IncrementalQuery, StreamHype,
 };
 use smoqe_toxgene::{DocShape, Domain};
 use smoqe_xml::stream::TreeEvents;
-use smoqe_xml::{parse_document, EditOp, NodeId, XmlTree};
+use smoqe_xml::{parse_document, EditOp, LabelInterner, NodeId, XmlTree};
 
-use crate::oracle_answer;
+use crate::{evaluate_in_mode, interpreted, oracle_answer};
 
 /// The parallel thread budgets the campaign sweeps.
 pub const BUDGETS: [usize; 3] = [1, 2, 8];
@@ -303,7 +302,7 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
         .iter()
         .map(|c| CompiledBatchQuery::new(Arc::clone(c.compiled())))
         .collect();
-    let scratch_batch = evaluate_batch_parallel_at(&doc, doc.root(), &scratch, 1);
+    let scratch_batch = evaluate_tree(&doc, doc.root(), &scratch, 1);
 
     let pre = preorder_ids(&doc);
 
@@ -336,8 +335,12 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
 
         // Streaming over the edited tree's event replay.
         let mut events = TreeEvents::new(&doc);
-        let (streamed, _) = evaluate_stream(&mut events, c.mfa())
-            .unwrap_or_else(|e| panic!("{name}: stream fails: {e}"));
+        let query = CompiledBatchQuery::new(Arc::clone(c.compiled()));
+        let streamed = StreamHype::new(&[query], LabelInterner::new())
+            .run(&mut events)
+            .unwrap_or_else(|e| panic!("{name}: stream fails: {e}"))
+            .results
+            .remove(0);
         if streamed.answers != to_preorder(&oracle, &pre) {
             return Err(diverge(
                 name,
@@ -355,7 +358,8 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
 
         // Parallel at every budget.
         for threads in BUDGETS {
-            let par = evaluate_parallel(&doc, c.compiled(), threads);
+            let query = CompiledBatchQuery::new(Arc::clone(c.compiled()));
+            let par = evaluate_tree(&doc, doc.root(), &[query], threads).results.remove(0);
             if par.answers != oracle {
                 return Err(diverge(name, "parallel", format!("{threads}t: {}", answer_diff(&par.answers, &oracle))));
             }
@@ -372,7 +376,7 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
         // conformance-guarded index build; answers only — pruning changes
         // visit counts by design).
         for mode in [EvaluationMode::HyPE, EvaluationMode::OptHyPE, EvaluationMode::OptHyPEC] {
-            let moded = c.evaluate_with_mode(&doc, domain.document_dtd(), mode);
+            let moded = evaluate_in_mode(c, domain.document_dtd(), &doc, mode);
             if moded.answers != oracle {
                 return Err(diverge(
                     name,

@@ -2,8 +2,8 @@
 //! [`Mfa`].
 //!
 //! Before the execution-IR refactor these were *the* engines; they now
-//! serve as the differential oracle for the compiled engines in
-//! [`crate::batch`] and [`crate::stream`]: same traversal, same pruning
+//! serve as the differential oracle for the compiled engines of
+//! `smoqe_hype` (`evaluate_tree` and `StreamHype`): same traversal, same pruning
 //! rules, same `cans` construction — but implemented over the builder
 //! representation with `BTreeSet` request closures and per-node
 //! `HashMap<(AfaId, AfaStateId), bool>` filter values. The corpus-wide
@@ -24,10 +24,47 @@ use smoqe_automata::{
 use smoqe_xml::stream::{EventSource, XmlEvent};
 use smoqe_xml::{LabelId, LabelInterner, NodeId, ParseError, XmlTree};
 
-use crate::batch::{BatchQuery, BatchResult, BatchStats};
-use crate::engine::{HypeResult, HypeStats};
-use crate::index::ReachabilityIndex;
-use crate::stream::{StreamResult, StreamStats};
+use std::sync::Arc;
+
+use smoqe_automata::CompiledMfa;
+use smoqe_hype::{
+    BatchResult, BatchStats, CompiledBatchQuery, HypeResult, HypeStats, ReachabilityIndex,
+    StreamResult, StreamStats,
+};
+
+/// One query of an interpreted batch: a builder MFA plus, optionally, its
+/// OptHyPE(-C) reachability index.
+#[derive(Debug, Clone, Copy)]
+pub struct Query<'a> {
+    /// The builder automaton.
+    pub mfa: &'a Mfa,
+    /// The DTD reachability index, when OptHyPE pruning is wanted.
+    pub index: Option<&'a ReachabilityIndex>,
+}
+
+impl<'a> Query<'a> {
+    /// A query evaluated with plain HyPE.
+    pub fn new(mfa: &'a Mfa) -> Self {
+        Query { mfa, index: None }
+    }
+
+    /// A query evaluated with OptHyPE(-C) pruning.
+    pub fn with_index(mfa: &'a Mfa, index: &'a ReachabilityIndex) -> Self {
+        Query {
+            mfa,
+            index: Some(index),
+        }
+    }
+
+    /// The same query for the compiled engines: its execution IR, compiled
+    /// here, with the same index.
+    pub fn compile(&self) -> CompiledBatchQuery<'a> {
+        CompiledBatchQuery {
+            compiled: Arc::new(CompiledMfa::new(self.mfa)),
+            index: self.index,
+        }
+    }
+}
 
 /// Boolean filter variables `X(node, state)` computed at one node.
 type AfaValues = HashMap<(AfaId, AfaStateId), bool>;
@@ -81,7 +118,7 @@ struct QueryRuntime<'a> {
 }
 
 impl<'a> QueryRuntime<'a> {
-    fn new(doc_labels: &LabelInterner, query: &BatchQuery<'a>) -> Self {
+    fn new(doc_labels: &LabelInterner, query: &Query<'a>) -> Self {
         QueryRuntime {
             mfa: query.mfa,
             label_map: LabelMap::new(query.mfa, doc_labels),
@@ -547,8 +584,8 @@ impl BatchEngine<'_> {
     }
 }
 
-/// Interpreted equivalent of [`crate::evaluate_batch_at`].
-pub fn evaluate_batch_at(tree: &XmlTree, context: NodeId, queries: &[BatchQuery]) -> BatchResult {
+/// Interpreted equivalent of `smoqe_hype::evaluate_tree` at one thread.
+pub fn evaluate_batch_at(tree: &XmlTree, context: NodeId, queries: &[Query]) -> BatchResult {
     let nodes_total = tree.subtree_size(context);
     if queries.is_empty() {
         return BatchResult {
@@ -612,23 +649,23 @@ pub fn evaluate_batch_at(tree: &XmlTree, context: NodeId, queries: &[BatchQuery]
     }
 }
 
-/// Interpreted equivalent of [`crate::evaluate_batch`].
-pub fn evaluate_batch(tree: &XmlTree, queries: &[BatchQuery]) -> BatchResult {
+/// Interpreted equivalent of `smoqe_hype::evaluate_batch_compiled`.
+pub fn evaluate_batch(tree: &XmlTree, queries: &[Query]) -> BatchResult {
     evaluate_batch_at(tree, tree.root(), queries)
 }
 
-/// Interpreted equivalent of [`crate::evaluate_at_with`].
+/// Interpreted equivalent of `smoqe_hype::evaluate_compiled_at_with`.
 pub fn evaluate_at_with(
     tree: &XmlTree,
     context: NodeId,
     mfa: &Mfa,
     index: Option<&ReachabilityIndex>,
 ) -> HypeResult {
-    let mut batch = evaluate_batch_at(tree, context, &[BatchQuery { mfa, index }]);
+    let mut batch = evaluate_batch_at(tree, context, &[Query { mfa, index }]);
     batch.results.pop().expect("one result per batched query")
 }
 
-/// Interpreted equivalent of [`crate::evaluate`].
+/// Interpreted plain HyPE at the root of `tree`.
 pub fn evaluate(tree: &XmlTree, mfa: &Mfa) -> HypeResult {
     evaluate_at_with(tree, tree.root(), mfa, None)
 }
@@ -680,7 +717,7 @@ struct StreamMachine<'a> {
 }
 
 impl<'a> StreamMachine<'a> {
-    fn new(queries: &[BatchQuery<'a>], labels: LabelInterner) -> Self {
+    fn new(queries: &[Query<'a>], labels: LabelInterner) -> Self {
         let runtimes: Vec<QueryRuntime> =
             queries.iter().map(|q| QueryRuntime::new(&labels, q)).collect();
         StreamMachine {
@@ -930,11 +967,12 @@ impl<'a> StreamMachine<'a> {
     }
 }
 
-/// Interpreted equivalent of [`crate::evaluate_stream_batch`] with a
-/// pre-seeded label interner (required when any query carries an index).
+/// Interpreted equivalent of `smoqe_hype::StreamHype` run over `source`,
+/// with a pre-seeded label interner (required when any query carries an
+/// index).
 pub fn evaluate_stream_batch_with_interner(
     source: &mut impl EventSource,
-    queries: &[BatchQuery],
+    queries: &[Query],
     labels: LabelInterner,
 ) -> Result<StreamResult, ParseError> {
     let mut machine = StreamMachine::new(queries, labels);
@@ -948,20 +986,20 @@ pub fn evaluate_stream_batch_with_interner(
     Ok(machine.finish())
 }
 
-/// Interpreted equivalent of [`crate::evaluate_stream_batch`].
+/// [`evaluate_stream_batch_with_interner`] from an empty interner.
 pub fn evaluate_stream_batch(
     source: &mut impl EventSource,
-    queries: &[BatchQuery],
+    queries: &[Query],
 ) -> Result<StreamResult, ParseError> {
     evaluate_stream_batch_with_interner(source, queries, LabelInterner::new())
 }
 
-/// Interpreted equivalent of [`crate::evaluate_stream`].
+/// [`evaluate_stream_batch`] for `mfa` alone.
 pub fn evaluate_stream(
     source: &mut impl EventSource,
     mfa: &Mfa,
 ) -> Result<(HypeResult, StreamStats), ParseError> {
-    let mut out = evaluate_stream_batch(source, &[BatchQuery::new(mfa)])?;
+    let mut out = evaluate_stream_batch(source, &[Query::new(mfa)])?;
     let result = out.results.pop().expect("one result per query");
     Ok((result, out.stats))
 }

@@ -1,17 +1,21 @@
 //! Shared fixtures and helpers for the cross-crate integration tests.
 
 pub mod fuzz;
+pub mod interpreted;
 pub mod xml_oracle;
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use smoqe::SmoqeEngine;
+use smoqe::{CompiledQuery, EvaluationMode, SmoqeEngine};
 use smoqe_automata::{compile_query, CompiledMfa, Mfa};
+use smoqe_hype::{
+    evaluate_compiled_at_with, evaluate_tree, CompiledBatchQuery, HypeResult, ReachabilityIndex,
+};
 use smoqe_toxgene::domains::{HOSPITAL_DOCUMENT_QUERIES, HOSPITAL_VIEW_QUERIES};
 use smoqe_toxgene::{generate_hospital, Domain, HospitalConfig};
 use smoqe_views::{materialize, ViewDefinition};
-use smoqe_xml::{NodeId, XmlTree};
+use smoqe_xml::{Dtd, NodeId, XmlTree};
 use smoqe_xpath::{evaluate, parse_path};
 
 /// A deterministic, moderately sized hospital document exercising every
@@ -80,6 +84,54 @@ pub fn domain_corpus_irs(domain: &Domain) -> Vec<(String, Arc<CompiledMfa>)> {
         .into_iter()
         .map(|(name, mfa)| (name, Arc::new(CompiledMfa::new(&mfa))))
         .collect()
+}
+
+/// The execution IR of a builder MFA.
+pub fn compile(mfa: &Mfa) -> Arc<CompiledMfa> {
+    Arc::new(CompiledMfa::new(mfa))
+}
+
+/// A builder MFA through the sequential compiled engine at `context`,
+/// optionally pruned by `index`. The IR is compiled on every call; suites
+/// that evaluate one query repeatedly compile once with [`compile`].
+pub fn hype(
+    tree: &XmlTree,
+    context: NodeId,
+    mfa: &Mfa,
+    index: Option<&ReachabilityIndex>,
+) -> HypeResult {
+    evaluate_compiled_at_with(tree, context, &compile(mfa), index)
+}
+
+/// One compiled query at `context` through `evaluate_tree` under the
+/// thread budget `threads` (sequential at one thread, sharded above).
+pub fn evaluate_solo(
+    tree: &XmlTree,
+    context: NodeId,
+    compiled: &Arc<CompiledMfa>,
+    index: Option<&ReachabilityIndex>,
+    threads: usize,
+) -> HypeResult {
+    let query = CompiledBatchQuery {
+        compiled: Arc::clone(compiled),
+        index,
+    };
+    let mut batch = evaluate_tree(tree, context, &[query], threads);
+    batch.results.pop().expect("one result per query")
+}
+
+/// `compiled` over `doc` in `mode`, with a freshly built index for the Opt
+/// modes — what `QueryService::evaluate` computes without its caches.
+pub fn evaluate_in_mode(
+    compiled: &CompiledQuery,
+    document_dtd: &Dtd,
+    doc: &XmlTree,
+    mode: EvaluationMode,
+) -> HypeResult {
+    let index = mode
+        .compressed_index()
+        .map(|compressed| compiled.build_index(document_dtd, doc, compressed));
+    evaluate_compiled_at_with(doc, doc.root(), compiled.compiled(), index.as_ref())
 }
 
 /// The materialize-then-evaluate oracle: the answer of `query` on the view

@@ -2,18 +2,23 @@
 //! end over the shared corpora (PR 2).
 //!
 //! The contract under test: for every query of the corpus, answering it as
-//! part of a [`smoqe_hype::evaluate_batch`] batch must produce **byte-
-//! identical answer sets and identical per-query statistics** to a solo
-//! [`smoqe_hype::evaluate`] run, in both pruning modes — while the shared
+//! part of a [`smoqe_hype::evaluate_batch_compiled`] batch must produce
+//! **byte-identical answer sets and identical per-query statistics** to a
+//! solo [`smoqe_hype::evaluate_compiled_at_with`] run, in both pruning
+//! modes — while the shared
 //! traversal performs no more physical node visits than the sequential sum.
 //! On top of that sits the [`smoqe::QueryService`], whose caches must be
 //! semantically invisible.
 
-use integration_tests::{oracle_answer, standard_hospital_document, view_query_corpus,
-    document_query_corpus};
+use std::sync::Arc;
+
+use integration_tests::{compile, evaluate_in_mode, hype, oracle_answer,
+    standard_hospital_document, view_query_corpus, document_query_corpus};
 use smoqe::{EvaluationMode, QueryService, ServiceConfig, SmoqeEngine};
 use smoqe_automata::compile_query;
-use smoqe_hype::{evaluate_batch, BatchQuery, ReachabilityIndex};
+use smoqe_hype::{
+    evaluate_batch_compiled, evaluate_compiled_at_with, CompiledBatchQuery, ReachabilityIndex,
+};
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xpath::parse_path;
 
@@ -31,9 +36,11 @@ fn batched_equals_sequential_on_the_view_corpus_hype_mode() {
     let engine = SmoqeEngine::hospital_demo();
     let compiled = compiled_view_corpus(&engine);
 
-    let batch_queries: Vec<BatchQuery> =
-        compiled.iter().map(|(_, c)| BatchQuery::new(c.mfa())).collect();
-    let batch = evaluate_batch(&doc, &batch_queries);
+    let batch_queries: Vec<CompiledBatchQuery> = compiled
+        .iter()
+        .map(|(_, c)| CompiledBatchQuery::new(Arc::clone(c.compiled())))
+        .collect();
+    let batch = evaluate_batch_compiled(&doc, &batch_queries);
 
     let mut sequential_visits = 0;
     for (i, (query, c)) in compiled.iter().enumerate() {
@@ -74,14 +81,14 @@ fn batched_equals_sequential_on_the_view_corpus_opthype_mode() {
                 }
             })
             .collect();
-        let batch_queries: Vec<BatchQuery> = compiled
+        let batch_queries: Vec<CompiledBatchQuery> = compiled
             .iter()
             .zip(&indexes)
-            .map(|((_, c), i)| BatchQuery::with_index(c.mfa(), i))
+            .map(|((_, c), i)| CompiledBatchQuery::with_index(Arc::clone(c.compiled()), i))
             .collect();
-        let batch = evaluate_batch(&doc, &batch_queries);
+        let batch = evaluate_batch_compiled(&doc, &batch_queries);
         for (i, ((query, c), index)) in compiled.iter().zip(&indexes).enumerate() {
-            let solo = smoqe_hype::evaluate_with_index(&doc, c.mfa(), index);
+            let solo = evaluate_compiled_at_with(&doc, doc.root(), c.compiled(), Some(index));
             assert_eq!(
                 batch.results[i].answers, solo.answers,
                 "answers differ on `{query}` (compressed={compressed})"
@@ -109,21 +116,23 @@ fn batched_equals_sequential_on_the_document_corpus() {
         .map(|(_, m)| ReachabilityIndex::new(m, &dtd, doc.labels()))
         .collect();
 
-    let plain_batch =
-        evaluate_batch(&doc, &mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect::<Vec<_>>());
-    let indexed_batch = evaluate_batch(
+    let plain_batch = evaluate_batch_compiled(
+        &doc,
+        &mfas.iter().map(|(_, m)| CompiledBatchQuery::new(compile(m))).collect::<Vec<_>>(),
+    );
+    let indexed_batch = evaluate_batch_compiled(
         &doc,
         &mfas
             .iter()
             .zip(&indexes)
-            .map(|((_, m), i)| BatchQuery::with_index(m, i))
+            .map(|((_, m), i)| CompiledBatchQuery::with_index(compile(m), i))
             .collect::<Vec<_>>(),
     );
     for (i, (query, mfa)) in mfas.iter().enumerate() {
-        let solo = smoqe_hype::evaluate(&doc, mfa);
+        let solo = hype(&doc, doc.root(), mfa, None);
         assert_eq!(plain_batch.results[i].answers, solo.answers, "on `{query}`");
         assert_eq!(plain_batch.results[i].stats, solo.stats, "on `{query}`");
-        let solo_opt = smoqe_hype::evaluate_with_index(&doc, mfa, &indexes[i]);
+        let solo_opt = hype(&doc, doc.root(), mfa, Some(&indexes[i]));
         assert_eq!(indexed_batch.results[i].answers, solo_opt.answers, "on `{query}` (opt)");
         assert_eq!(indexed_batch.results[i].stats, solo_opt.stats, "on `{query}` (opt)");
         // Batched answers are mode-independent too.
@@ -174,9 +183,12 @@ fn service_cache_is_semantically_invisible_under_eviction_pressure() {
     for _round in 0..2 {
         for query in view_query_corpus() {
             let via_service = service.evaluate(query, &doc, EvaluationMode::OptHyPE).unwrap();
-            let direct = engine
-                .answer_with_stats(query, &doc, EvaluationMode::OptHyPE)
-                .unwrap();
+            let direct = evaluate_in_mode(
+                &engine.compile(query).unwrap(),
+                engine.view().document_dtd(),
+                &doc,
+                EvaluationMode::OptHyPE,
+            );
             assert_eq!(via_service.answers, direct.answers, "on `{query}`");
             assert_eq!(via_service.stats, direct.stats, "on `{query}`");
         }
@@ -203,7 +215,10 @@ fn batch_sharing_factor_grows_with_overlapping_queries() {
         .iter()
         .map(|q| compile_query(&parse_path(q).unwrap()))
         .collect();
-    let batch = evaluate_batch(&doc, &mfas.iter().map(BatchQuery::new).collect::<Vec<_>>());
+    let batch = evaluate_batch_compiled(
+        &doc,
+        &mfas.iter().map(|m| CompiledBatchQuery::new(compile(m))).collect::<Vec<_>>(),
+    );
     let factor = batch.stats.sharing_factor();
     assert!(factor > 1.0, "overlapping queries must share visits (factor {factor})");
     assert!(factor <= queries.len() as f64 + 1e-9);

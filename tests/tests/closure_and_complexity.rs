@@ -57,7 +57,7 @@ fn naive_descendant_translation_leaks_hidden_data() {
 
     // The MFA rewriting gives the correct (empty) answer.
     let mfa = rewrite_to_mfa(&q, &view).unwrap();
-    assert!(smoqe_hype::evaluate(&doc, &mfa).answers.is_empty());
+    assert!(integration_tests::hype(&doc, doc.root(), &mfa, None).answers.is_empty());
 }
 
 /// Theorem 3.2: the direct `Xreg` rewriting is equivalent to the query on

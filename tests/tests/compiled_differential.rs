@@ -1,24 +1,42 @@
 //! Differential suite for the `CompiledMfa` execution IR: over both query
 //! corpora, the compiled engines must produce **identical answers and
 //! identical statistics** to the interpreted reference engines
-//! (`smoqe_hype::interpreted`, the pre-refactor implementation) — solo,
+//! (`integration_tests::interpreted`, the pre-refactor implementation) — solo,
 //! batched, and streaming, with and without OptHyPE(-C) indexes — plus a
 //! property test over randomly generated toxgene documents.
 
+use integration_tests::interpreted::{self, Query};
 use integration_tests::{
-    document_query_corpus, domain_corpus_mfas, standard_hospital_document, view_query_corpus,
+    document_query_corpus, domain_corpus_mfas, hype, standard_hospital_document,
+    view_query_corpus,
 };
 use proptest::prelude::*;
 use smoqe::SmoqeEngine;
 use smoqe_automata::{compile_query, Mfa};
-use smoqe_hype::{evaluate, evaluate_batch, evaluate_stream_batch, evaluate_with_index};
-use smoqe_hype::{interpreted, BatchQuery, ReachabilityIndex};
+use smoqe_hype::{
+    evaluate_batch_compiled, BatchResult, CompiledBatchQuery, ReachabilityIndex, StreamHype,
+    StreamResult,
+};
+use smoqe_xml::LabelInterner;
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, generate_hospital, HospitalConfig};
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xml::stream::TreeEvents;
 use smoqe_xml::XmlTree;
 use smoqe_xpath::parse_path;
+
+/// The compiled engine over the same batch: each query's IR compiled, then
+/// one shared pass.
+fn evaluate_batch(doc: &XmlTree, queries: &[Query]) -> BatchResult {
+    let compiled: Vec<CompiledBatchQuery> = queries.iter().map(Query::compile).collect();
+    evaluate_batch_compiled(doc, &compiled)
+}
+
+/// The compiled stream machine over the same batch.
+fn evaluate_stream_batch(events: &mut TreeEvents, queries: &[Query]) -> StreamResult {
+    let compiled: Vec<CompiledBatchQuery> = queries.iter().map(Query::compile).collect();
+    StreamHype::new(&compiled, LabelInterner::new()).run(events).unwrap()
+}
 
 /// Both corpora as compiled MFAs over the hospital *document*: the document
 /// corpus compiles directly, the view corpus goes through the σ₀ rewriting
@@ -44,7 +62,7 @@ fn solo_compiled_matches_interpreted_on_both_corpora() {
     let dtd = hospital_document_dtd();
     for (name, mfa) in corpus_mfas() {
         let reference = interpreted::evaluate(&doc, &mfa);
-        let compiled = evaluate(&doc, &mfa);
+        let compiled = hype(&doc, doc.root(), &mfa, None);
         assert_eq!(compiled.answers, reference.answers, "answers differ on `{name}`");
         assert_eq!(compiled.stats, reference.stats, "stats differ on `{name}`");
 
@@ -56,7 +74,7 @@ fn solo_compiled_matches_interpreted_on_both_corpora() {
             };
             let reference =
                 interpreted::evaluate_at_with(&doc, doc.root(), &mfa, Some(&index));
-            let compiled = evaluate_with_index(&doc, &mfa, &index);
+            let compiled = hype(&doc, doc.root(), &mfa, Some(&index));
             assert_eq!(
                 compiled.answers, reference.answers,
                 "indexed answers differ on `{name}` (compressed={compressed})"
@@ -76,7 +94,7 @@ fn batched_compiled_matches_interpreted_per_query_and_in_aggregate() {
     let mfas = corpus_mfas();
 
     // Plain batch over the full corpus in one pass.
-    let queries: Vec<BatchQuery> = mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect();
+    let queries: Vec<Query> = mfas.iter().map(|(_, m)| Query::new(m)).collect();
     let reference = interpreted::evaluate_batch(&doc, &queries);
     let compiled = evaluate_batch(&doc, &queries);
     assert_eq!(compiled.stats, reference.stats, "aggregate batch stats differ");
@@ -99,12 +117,12 @@ fn batched_compiled_matches_interpreted_per_query_and_in_aggregate() {
             (i % 2 == 0).then(|| ReachabilityIndex::new(m, &dtd, doc.labels()))
         })
         .collect();
-    let queries: Vec<BatchQuery> = mfas
+    let queries: Vec<Query> = mfas
         .iter()
         .zip(&indexes)
         .map(|((_, m), idx)| match idx {
-            Some(index) => BatchQuery::with_index(m, index),
-            None => BatchQuery::new(m),
+            Some(index) => Query::with_index(m, index),
+            None => Query::new(m),
         })
         .collect();
     let reference = interpreted::evaluate_batch(&doc, &queries);
@@ -128,11 +146,11 @@ fn streamed_compiled_matches_interpreted_solo_and_batched() {
     let mfas = corpus_mfas();
 
     for (name, mfa) in &mfas {
-        let queries = [BatchQuery::new(mfa)];
+        let queries = [Query::new(mfa)];
         let mut events = TreeEvents::new(&doc);
         let reference = interpreted::evaluate_stream_batch(&mut events, &queries).unwrap();
         let mut events = TreeEvents::new(&doc);
-        let compiled = evaluate_stream_batch(&mut events, &queries).unwrap();
+        let compiled = evaluate_stream_batch(&mut events, &queries);
         assert_eq!(compiled.stats, reference.stats, "stream stats differ on `{name}`");
         assert_eq!(
             compiled.results[0].answers, reference.results[0].answers,
@@ -144,11 +162,11 @@ fn streamed_compiled_matches_interpreted_solo_and_batched() {
         );
     }
 
-    let queries: Vec<BatchQuery> = mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect();
+    let queries: Vec<Query> = mfas.iter().map(|(_, m)| Query::new(m)).collect();
     let mut events = TreeEvents::new(&doc);
     let reference = interpreted::evaluate_stream_batch(&mut events, &queries).unwrap();
     let mut events = TreeEvents::new(&doc);
-    let compiled = evaluate_stream_batch(&mut events, &queries).unwrap();
+    let compiled = evaluate_stream_batch(&mut events, &queries);
     assert_eq!(compiled.stats, reference.stats, "batched stream stats differ");
     for (i, (name, _)) in mfas.iter().enumerate() {
         assert_eq!(
@@ -175,7 +193,7 @@ fn every_domain_and_shape_compiled_matches_interpreted() {
             let doc = domain.generate(shape, 1, STANDARD_SEED);
             for (name, mfa) in &mfas {
                 let reference = interpreted::evaluate(&doc, mfa);
-                let compiled = evaluate(&doc, mfa);
+                let compiled = hype(&doc, doc.root(), mfa, None);
                 assert_eq!(
                     compiled.answers, reference.answers,
                     "answers differ on `{name}` ({shape:?})"
@@ -187,7 +205,7 @@ fn every_domain_and_shape_compiled_matches_interpreted() {
                         ReachabilityIndex::from_labels(mfa.labels(), &dtd, doc.labels(), compressed);
                     let reference =
                         interpreted::evaluate_at_with(&doc, doc.root(), mfa, Some(&index));
-                    let compiled = evaluate_with_index(&doc, mfa, &index);
+                    let compiled = hype(&doc, doc.root(), mfa, Some(&index));
                     assert_eq!(
                         compiled.answers, reference.answers,
                         "indexed answers differ on `{name}` ({shape:?}, compressed={compressed})"
@@ -199,7 +217,7 @@ fn every_domain_and_shape_compiled_matches_interpreted() {
                 }
             }
 
-            let queries: Vec<BatchQuery> = mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect();
+            let queries: Vec<Query> = mfas.iter().map(|(_, m)| Query::new(m)).collect();
             let reference = interpreted::evaluate_batch(&doc, &queries);
             let compiled = evaluate_batch(&doc, &queries);
             assert_eq!(
@@ -232,7 +250,7 @@ fn compiled_matches_interpreted_from_every_context_node() {
     let mfa = compile_query(&parse_path("patient[visit]/pname | //diagnosis").unwrap());
     for ctx in doc.node_ids() {
         let reference = interpreted::evaluate_at_with(&doc, ctx, &mfa, None);
-        let compiled = smoqe_hype::evaluate_at(&doc, ctx, &mfa);
+        let compiled = hype(&doc, ctx, &mfa, None);
         assert_eq!(compiled.answers, reference.answers, "answers differ at {ctx:?}");
         assert_eq!(compiled.stats, reference.stats, "stats differ at {ctx:?}");
     }
@@ -287,7 +305,7 @@ proptest! {
             .collect();
         for (query, mfa) in PROBE_QUERIES.iter().zip(&mfas) {
             let reference = interpreted::evaluate(&doc, mfa);
-            let compiled = evaluate(&doc, mfa);
+            let compiled = hype(&doc, doc.root(), mfa, None);
             prop_assert!(
                 compiled.answers == reference.answers,
                 "answers differ on `{}`",
@@ -301,7 +319,7 @@ proptest! {
                 reference.stats
             );
         }
-        let queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
+        let queries: Vec<Query> = mfas.iter().map(Query::new).collect();
         let reference = interpreted::evaluate_batch(&doc, &queries);
         let compiled = evaluate_batch(&doc, &queries);
         prop_assert_eq!(compiled.stats, reference.stats);

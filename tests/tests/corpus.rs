@@ -15,9 +15,12 @@ use integration_tests::{
     document_query_corpus, domain_corpus_irs, oracle_answer, standard_hospital_document,
 };
 
-use smoqe::{DocumentStore, EvaluationMode, QueryService, ServiceConfig, SmoqeEngine};
+use smoqe::{DocId, DocumentStore, EvaluationMode, QueryService, ServiceConfig, SmoqeEngine};
 use smoqe_automata::compile_query;
-use smoqe_hype::{evaluate_corpus, evaluate_corpus_parallel, CompiledMfa, CorpusTask, ReachabilityIndex};
+use smoqe_hype::{
+    evaluate_compiled_at_with, evaluate_corpus_parallel, CompiledMfa, CorpusTask, HypeResult,
+    ReachabilityIndex,
+};
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, generate_hospital, DocShape, HospitalConfig};
 use smoqe_xml::hospital::hospital_document_dtd;
@@ -25,6 +28,33 @@ use smoqe_xml::{snapshot, XmlTree};
 use smoqe_xpath::parse_path;
 
 const THREAD_BUDGETS: [usize; 3] = [1, 2, 8];
+
+/// The sequential reference loop: every task through the solo engine, in
+/// order.
+fn evaluate_corpus(tasks: &[CorpusTask]) -> Vec<HypeResult> {
+    tasks
+        .iter()
+        .map(|t| evaluate_compiled_at_with(t.tree, t.tree.root(), &t.compiled, t.index))
+        .collect()
+}
+
+/// The service-level sequential reference: one [`QueryService::evaluate`]
+/// call per request, in order.
+fn evaluate_requests(
+    service: &QueryService,
+    store: &DocumentStore,
+    requests: &[(DocId, &str)],
+    mode: EvaluationMode,
+) -> Vec<HypeResult> {
+    requests
+        .iter()
+        .map(|&(id, query)| {
+            service
+                .evaluate(query, store.get(id).expect("resident").tree(), mode)
+                .unwrap()
+        })
+        .collect()
+}
 
 fn corpus_documents() -> Vec<XmlTree> {
     let mut docs = vec![standard_hospital_document()];
@@ -128,7 +158,7 @@ fn service_corpus_parallel_is_bit_identical_in_every_mode() {
         EvaluationMode::OptHyPEC,
     ] {
         let reference = QueryService::hospital_demo();
-        let sequential = reference.evaluate_corpus(&store, &requests, mode).unwrap();
+        let sequential = evaluate_requests(&reference, &store, &requests, mode);
         for threads in THREAD_BUDGETS {
             let service = QueryService::with_config(
                 SmoqeEngine::hospital_demo().view().clone(),
@@ -188,7 +218,7 @@ fn rewritten_answers_match_the_materialize_oracle_in_every_domain() {
             let doc = domain.generate(shape, 1, STANDARD_SEED);
             for &query in domain.view_queries {
                 let want = oracle_answer(&domain.view, &doc, query);
-                let got = engine.answer(query, &doc).unwrap();
+                let got = engine.compile(query).unwrap().evaluate(&doc).answers;
                 assert_eq!(
                     got, want,
                     "{}/{shape:?}: rewriting diverges from the view oracle on `{query}`",
@@ -221,9 +251,7 @@ fn corpus_results_track_request_order_not_completion_order() {
     requests.push((big, "patient/record/diagnosis"));
 
     let service = QueryService::hospital_demo();
-    let sequential = service
-        .evaluate_corpus(&store, &requests, EvaluationMode::HyPE)
-        .unwrap();
+    let sequential = evaluate_requests(&service, &store, &requests, EvaluationMode::HyPE);
     for threads in THREAD_BUDGETS {
         let parallel = QueryService::with_config(
             SmoqeEngine::hospital_demo().view().clone(),

@@ -10,11 +10,12 @@
 
 use std::sync::Arc;
 
+use integration_tests::{compile, evaluate_solo, interpreted};
 use smoqe_automata::compile_query;
-use smoqe_hype::{evaluate, evaluate_parallel, evaluate_stream, interpreted};
+use smoqe_hype::{evaluate_compiled_at_with, CompiledBatchQuery, StreamHype};
 use smoqe_toxgene::{generate_deep_bom, generate_deep_hospital};
 use smoqe_xml::stream::TreeEvents;
-use smoqe_xml::{parse_document, to_xml_string};
+use smoqe_xml::{parse_document, to_xml_string, LabelInterner};
 use smoqe_xpath::parse_path;
 
 /// Deep enough that any accidental per-node recursion blows a 2 MiB stack
@@ -37,8 +38,9 @@ fn deep_hospital_chain_survives_every_engine() {
         let oracle = smoqe_xpath::evaluate(&doc, doc.root(), &path);
 
         let mfa = compile_query(&path);
+        let shared = compile(&mfa);
         // Compiled tree walk (iterative `walk`).
-        let compiled = evaluate(&doc, &mfa);
+        let compiled = evaluate_compiled_at_with(&doc, doc.root(), &shared, None);
         assert_eq!(compiled.answers, oracle, "compiled differs on `{query}`");
 
         // Interpreted oracle (iterative `BatchEngine::visit`).
@@ -48,14 +50,16 @@ fn deep_hospital_chain_survives_every_engine() {
 
         // Streaming evaluator (explicit frame stack, O(depth) frames).
         let mut events = TreeEvents::new(&doc);
-        let (streamed, stream_stats) = evaluate_stream(&mut events, &mfa).unwrap();
+        let streamed_query = CompiledBatchQuery::new(Arc::clone(&shared));
+        let mut out =
+            StreamHype::new(&[streamed_query], LabelInterner::new()).run(&mut events).unwrap();
+        let (streamed, stream_stats) = (out.results.remove(0), out.stats);
         assert_eq!(streamed.answers, oracle, "streamed differs on `{query}`");
         assert!(stream_stats.peak_frames <= doc.max_depth() + 1);
 
         // Parallel scheduler at every budget the acceptance bar names.
-        let shared = Arc::new(smoqe_automata::CompiledMfa::new(&mfa));
         for threads in [1usize, 2, 8] {
-            let par = evaluate_parallel(&doc, &shared, threads);
+            let par = evaluate_solo(&doc, doc.root(), &shared, None, threads);
             assert_eq!(par.answers, oracle, "parallel({threads}) differs on `{query}`");
         }
     }
@@ -85,13 +89,14 @@ fn deep_bom_chain_agrees_across_engines() {
     let oracle = smoqe_xpath::evaluate(&doc, doc.root(), &path);
     assert!(!oracle.is_empty(), "deep BoM has domestic parts");
 
-    let mfa = compile_query(&path);
-    let compiled = evaluate(&doc, &mfa);
+    let ir = compile(&compile_query(&path));
+    let compiled = evaluate_compiled_at_with(&doc, doc.root(), &ir, None);
     assert_eq!(compiled.answers, oracle);
 
     let mut events = TreeEvents::new(&doc);
-    let (streamed, _) = evaluate_stream(&mut events, &mfa).unwrap();
-    assert_eq!(streamed.answers, oracle);
+    let query = CompiledBatchQuery::new(ir);
+    let mut out = StreamHype::new(&[query], LabelInterner::new()).run(&mut events).unwrap();
+    assert_eq!(out.results.remove(0).answers, oracle);
 }
 
 #[test]

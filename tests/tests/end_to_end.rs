@@ -2,7 +2,9 @@
 //! MFA → HyPE) against the materialize-then-evaluate oracle, on generated
 //! hospital data, for every query in the corpus and every evaluation mode.
 
-use integration_tests::{oracle_answer, standard_hospital_document, view_query_corpus};
+use integration_tests::{
+    evaluate_in_mode, oracle_answer, standard_hospital_document, view_query_corpus,
+};
 use smoqe::{EvaluationMode, SmoqeEngine};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_views::hospital_view;
@@ -14,7 +16,7 @@ fn rewriting_pipeline_matches_materialization_on_the_full_corpus() {
     let view = hospital_view();
     for query in view_query_corpus() {
         let expected = oracle_answer(&view, &doc, query);
-        let got = engine.answer(query, &doc).expect("query answers");
+        let got = engine.compile(query).expect("query answers").evaluate(&doc).answers;
         assert_eq!(got, expected, "pipeline disagrees with the oracle on `{query}`");
     }
 }
@@ -24,15 +26,11 @@ fn all_evaluation_modes_agree_on_the_full_corpus() {
     let doc = standard_hospital_document();
     let engine = SmoqeEngine::hospital_demo();
     for query in view_query_corpus() {
-        let base = engine
-            .answer_with_stats(query, &doc, EvaluationMode::HyPE)
-            .unwrap();
-        let opt = engine
-            .answer_with_stats(query, &doc, EvaluationMode::OptHyPE)
-            .unwrap();
-        let optc = engine
-            .answer_with_stats(query, &doc, EvaluationMode::OptHyPEC)
-            .unwrap();
+        let compiled = engine.compile(query).unwrap();
+        let dtd = engine.view().document_dtd();
+        let base = evaluate_in_mode(&compiled, dtd, &doc, EvaluationMode::HyPE);
+        let opt = evaluate_in_mode(&compiled, dtd, &doc, EvaluationMode::OptHyPE);
+        let optc = evaluate_in_mode(&compiled, dtd, &doc, EvaluationMode::OptHyPEC);
         assert_eq!(base.answers, opt.answers, "OptHyPE differs on `{query}`");
         assert_eq!(base.answers, optc.answers, "OptHyPE-C differs on `{query}`");
         assert!(
@@ -83,7 +81,7 @@ fn pipeline_is_stable_across_documents_of_different_shapes() {
             "patient[not(parent)]/record/diagnosis",
         ] {
             let expected = oracle_answer(&view, &doc, query);
-            let got = engine.answer(query, &doc).unwrap();
+            let got = engine.compile(query).unwrap().evaluate(&doc).answers;
             assert_eq!(got, expected, "config #{i}, query `{query}`");
         }
     }
@@ -102,8 +100,10 @@ fn compiled_query_reuse_matches_one_shot_answers() {
             ..Default::default()
         });
         let one_shot = engine
-            .answer("patient[*//record/diagnosis/text()='heart disease']", &doc)
-            .unwrap();
+            .compile("patient[*//record/diagnosis/text()='heart disease']")
+            .unwrap()
+            .evaluate(&doc)
+            .answers;
         assert_eq!(compiled.evaluate(&doc).answers, one_shot);
     }
 }
@@ -122,7 +122,7 @@ fn view_never_exposes_confidential_element_types() {
         });
         for query in ["//pname", "//address", "//doctor", "//test", "//sibling", "//visit"] {
             assert!(
-                engine.answer(query, &doc).unwrap().is_empty(),
+                engine.compile(query).unwrap().evaluate(&doc).answers.is_empty(),
                 "`{query}` leaked data (seed {seed})"
             );
         }

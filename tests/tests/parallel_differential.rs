@@ -12,15 +12,15 @@
 use std::sync::Arc;
 
 use integration_tests::{
-    document_query_corpus, domain_corpus_irs, standard_hospital_document, view_query_corpus,
+    document_query_corpus, domain_corpus_irs, evaluate_solo, standard_hospital_document,
+    view_query_corpus,
 };
 use proptest::prelude::*;
 use smoqe::SmoqeEngine;
 use smoqe_automata::{compile_query, CompiledMfa};
 use smoqe_hype::{
-    evaluate_batch_compiled, evaluate_batch_parallel, evaluate_batch_parallel_at,
-    evaluate_compiled, evaluate_compiled_at_with, evaluate_parallel, evaluate_parallel_at_with,
-    CompiledBatchQuery, ReachabilityIndex,
+    evaluate_batch_compiled, evaluate_compiled_at_with, evaluate_tree, CompiledBatchQuery,
+    ReachabilityIndex,
 };
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, generate_hospital, HospitalConfig};
@@ -28,9 +28,9 @@ use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xml::{XmlTree, XmlTreeBuilder};
 use smoqe_xpath::parse_path;
 
-/// The thread budgets under test: the degenerate budget (sequential
-/// execution *through* the shard split/merge machinery), a small pool, and
-/// a pool larger than most documents' top-level subtree counts.
+/// The thread budgets under test: the sequential budget (one thread walks
+/// the document without sharding), a small pool, and a pool larger than
+/// most documents' top-level subtree counts.
 const BUDGETS: &[usize] = &[1, 2, 8];
 
 /// Both corpora as compiled execution IRs over the hospital *document*: the
@@ -54,9 +54,9 @@ fn corpus_irs() -> Vec<(String, Arc<CompiledMfa>)> {
 fn solo_parallel_matches_sequential_on_both_corpora() {
     let doc = standard_hospital_document();
     for (name, ir) in corpus_irs() {
-        let sequential = evaluate_compiled(&doc, &ir);
+        let sequential = evaluate_compiled_at_with(&doc, doc.root(), &ir, None);
         for &threads in BUDGETS {
-            let parallel = evaluate_parallel(&doc, &ir, threads);
+            let parallel = evaluate_solo(&doc, doc.root(), &ir, None, threads);
             assert_eq!(
                 parallel.answers, sequential.answers,
                 "answers differ on `{name}` at {threads} thread(s)"
@@ -78,8 +78,7 @@ fn solo_parallel_matches_sequential_with_indexes() {
             let index = ReachabilityIndex::for_compiled(&ir, &dtd, doc.labels(), compressed);
             let sequential = evaluate_compiled_at_with(&doc, doc.root(), &ir, Some(&index));
             for &threads in BUDGETS {
-                let parallel =
-                    evaluate_parallel_at_with(&doc, doc.root(), &ir, Some(&index), threads);
+                let parallel = evaluate_solo(&doc, doc.root(), &ir, Some(&index), threads);
                 assert_eq!(
                     parallel.answers, sequential.answers,
                     "indexed answers differ on `{name}` (compressed={compressed}, {threads}t)"
@@ -106,7 +105,7 @@ fn batched_parallel_matches_sequential_per_query_and_in_aggregate() {
         .collect();
     let sequential = evaluate_batch_compiled(&doc, &queries);
     for &threads in BUDGETS {
-        let parallel = evaluate_batch_parallel(&doc, &queries, threads);
+        let parallel = evaluate_tree(&doc, doc.root(), &queries, threads);
         assert_eq!(
             parallel.stats, sequential.stats,
             "aggregate batch stats differ at {threads} thread(s)"
@@ -142,7 +141,7 @@ fn batched_parallel_matches_sequential_per_query_and_in_aggregate() {
         .collect();
     let sequential = evaluate_batch_compiled(&doc, &queries);
     for &threads in BUDGETS {
-        let parallel = evaluate_batch_parallel(&doc, &queries, threads);
+        let parallel = evaluate_tree(&doc, doc.root(), &queries, threads);
         assert_eq!(parallel.stats, sequential.stats, "mixed @{threads}t");
         for (i, (name, _)) in irs.iter().enumerate() {
             assert_eq!(
@@ -169,9 +168,9 @@ fn every_domain_and_shape_parallel_matches_sequential() {
         for &shape in domain.shapes {
             let doc = domain.generate(shape, 1, STANDARD_SEED);
             for (name, ir) in &irs {
-                let sequential = evaluate_compiled(&doc, ir);
+                let sequential = evaluate_compiled_at_with(&doc, doc.root(), ir, None);
                 for &threads in BUDGETS {
-                    let parallel = evaluate_parallel(&doc, ir, threads);
+                    let parallel = evaluate_solo(&doc, doc.root(), ir, None, threads);
                     assert_eq!(
                         parallel.answers, sequential.answers,
                         "answers differ on `{name}` ({shape:?}, {threads}t)"
@@ -189,7 +188,7 @@ fn every_domain_and_shape_parallel_matches_sequential() {
                 .collect();
             let sequential = evaluate_batch_compiled(&doc, &queries);
             for &threads in BUDGETS {
-                let parallel = evaluate_batch_parallel(&doc, &queries, threads);
+                let parallel = evaluate_tree(&doc, doc.root(), &queries, threads);
                 assert_eq!(
                     parallel.stats, sequential.stats,
                     "{}/{shape:?}: aggregate batch stats differ at {threads}t",
@@ -229,7 +228,7 @@ fn parallel_matches_sequential_from_every_context_node() {
         for ctx in doc.node_ids() {
             let sequential = evaluate_compiled_at_with(&doc, ctx, &ir, None);
             for &threads in BUDGETS {
-                let parallel = evaluate_parallel_at_with(&doc, ctx, &ir, None, threads);
+                let parallel = evaluate_solo(&doc, ctx, &ir, None, threads);
                 assert_eq!(
                     parallel.answers, sequential.answers,
                     "answers differ on `{query}` at {ctx:?} ({threads}t)"
@@ -254,9 +253,9 @@ fn single_node_document_has_nothing_to_shard() {
     let doc = b.finish();
     for query in ["hospital", "patient", "//diagnosis", "."] {
         let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())));
-        let sequential = evaluate_compiled(&doc, &ir);
+        let sequential = evaluate_compiled_at_with(&doc, doc.root(), &ir, None);
         for &threads in BUDGETS {
-            let parallel = evaluate_parallel(&doc, &ir, threads);
+            let parallel = evaluate_solo(&doc, doc.root(), &ir, None, threads);
             assert_eq!(parallel.answers, sequential.answers, "`{query}` ({threads}t)");
             assert_eq!(parallel.stats, sequential.stats, "`{query}` ({threads}t)");
         }
@@ -273,9 +272,9 @@ fn depth_one_document_shards_into_leaf_subtrees() {
     let doc = b.finish();
     for query in ["patient", "patient[text()='p7']", "doctor"] {
         let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())));
-        let sequential = evaluate_compiled(&doc, &ir);
+        let sequential = evaluate_compiled_at_with(&doc, doc.root(), &ir, None);
         for &threads in BUDGETS {
-            let parallel = evaluate_parallel(&doc, &ir, threads);
+            let parallel = evaluate_solo(&doc, doc.root(), &ir, None, threads);
             assert_eq!(parallel.answers, sequential.answers, "`{query}` ({threads}t)");
             assert_eq!(parallel.stats, sequential.stats, "`{query}` ({threads}t)");
         }
@@ -299,9 +298,9 @@ fn fewer_subtrees_than_threads_caps_the_worker_pool() {
     let ir = Arc::new(CompiledMfa::new(
         &compile_query(&parse_path("department/patient/pname").unwrap()),
     ));
-    let sequential = evaluate_compiled(&doc, &ir);
+    let sequential = evaluate_compiled_at_with(&doc, doc.root(), &ir, None);
     for threads in [3, 8, 64] {
-        let parallel = evaluate_parallel(&doc, &ir, threads);
+        let parallel = evaluate_solo(&doc, doc.root(), &ir, None, threads);
         assert_eq!(parallel.answers, sequential.answers, "@{threads}t");
         assert_eq!(parallel.stats, sequential.stats, "@{threads}t");
     }
@@ -313,12 +312,66 @@ fn answers_come_back_in_preorder_index_order() {
     // though shards finish in arbitrary order.
     let doc = standard_hospital_document();
     let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path("//diagnosis").unwrap())));
-    let parallel = evaluate_parallel(&doc, &ir, 8);
+    let parallel = evaluate_solo(&doc, doc.root(), &ir, None, 8);
     assert!(!parallel.answers.is_empty());
     let ids: Vec<_> = parallel.answers.iter().copied().collect();
     let mut sorted = ids.clone();
     sorted.sort();
     assert_eq!(ids, sorted, "BTreeSet iteration is ascending pre-order");
+}
+
+#[test]
+fn budget_one_walks_sequentially_and_larger_budgets_shard() {
+    // One top-level subtree holds ~99% of the nodes, so a sharded run must
+    // re-split it into spines (planner), spread the tasks over work-stealing
+    // deques and graft the spine units back — a budget of one must do none
+    // of that and report no shard skew at all.
+    let mut b = XmlTreeBuilder::new();
+    let root = b.root("hospital");
+    let big = b.child(root, "department");
+    for i in 0..400 {
+        let p = b.child(big, "patient");
+        b.child_with_text(p, "pname", &format!("n{i}"));
+        let v = b.child(p, "visit");
+        let t = b.child(v, "treatment");
+        let m = b.child(t, "medication");
+        b.child_with_text(m, "diagnosis", if i % 3 == 0 { "flu" } else { "heart disease" });
+    }
+    let small = b.child(root, "department");
+    let p = b.child(small, "patient");
+    b.child_with_text(p, "pname", "solo");
+    let doc = b.finish();
+
+    let queries: Vec<CompiledBatchQuery> = ["//diagnosis", "department/patient[visit]/pname"]
+        .iter()
+        .map(|q| {
+            CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&compile_query(
+                &parse_path(q).unwrap(),
+            ))))
+        })
+        .collect();
+    let sequential = evaluate_batch_compiled(&doc, &queries);
+
+    let one = evaluate_tree(&doc, doc.root(), &queries, 1);
+    assert_eq!(one.stats, sequential.stats);
+    for (o, s) in one.results.iter().zip(&sequential.results) {
+        assert_eq!(o.answers, s.answers);
+        assert_eq!(o.stats, s.stats);
+        assert_eq!(o.stats.max_shard_fraction, 0.0, "budget 1 never shards");
+    }
+
+    for threads in [2, 8] {
+        let sharded = evaluate_tree(&doc, doc.root(), &queries, threads);
+        assert_eq!(sharded.stats, sequential.stats, "@{threads}t");
+        for (p, s) in sharded.results.iter().zip(&sequential.results) {
+            assert_eq!(p.answers, s.answers, "@{threads}t");
+            assert_eq!(p.stats, s.stats, "@{threads}t");
+            // Only the shard machinery stamps a skew; re-splitting keeps
+            // every task well below the dominant subtree's share.
+            let frac = p.stats.max_shard_fraction;
+            assert!(frac > 0.0 && frac < 0.5, "@{threads}t: max_shard_fraction {frac}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -370,9 +423,9 @@ proptest! {
             .map(|q| Arc::new(CompiledMfa::new(&compile_query(&parse_path(q).unwrap()))))
             .collect();
         for (query, ir) in PROBE_QUERIES.iter().zip(&irs) {
-            let sequential = evaluate_compiled(&doc, ir);
+            let sequential = evaluate_compiled_at_with(&doc, doc.root(), ir, None);
             for &threads in BUDGETS {
-                let parallel = evaluate_parallel(&doc, ir, threads);
+                let parallel = evaluate_solo(&doc, doc.root(), ir, None, threads);
                 prop_assert!(
                     parallel.answers == sequential.answers,
                     "answers differ on `{}` at {} thread(s)",
@@ -395,7 +448,7 @@ proptest! {
             .collect();
         let sequential = evaluate_batch_compiled(&doc, &queries);
         for &threads in BUDGETS {
-            let parallel = evaluate_batch_parallel_at(&doc, doc.root(), &queries, threads);
+            let parallel = evaluate_tree(&doc, doc.root(), &queries, threads);
             prop_assert_eq!(&parallel.stats, &sequential.stats);
             for (i, query) in PROBE_QUERIES.iter().enumerate() {
                 prop_assert!(

@@ -4,9 +4,8 @@
 //! applying either or both passes must never change an answer, and the
 //! optimizer must never grow the automaton.
 
-use integration_tests::{standard_hospital_document, view_query_corpus};
+use integration_tests::{hype, standard_hospital_document, view_query_corpus};
 use smoqe_automata::{compile_query, optimize_mfa};
-use smoqe_hype::evaluate;
 use smoqe_rewrite::rewrite_to_mfa;
 use smoqe_views::hospital_view;
 use smoqe_xpath::{evaluate as reference_evaluate, normalize, parse_path};
@@ -19,8 +18,20 @@ fn normalisation_does_not_change_view_query_answers() {
         let parsed = parse_path(query).unwrap();
         let normalised = normalize(&parsed);
         assert!(normalised.size() <= parsed.size());
-        let original = evaluate(&doc, &rewrite_to_mfa(&parsed, &view).unwrap()).answers;
-        let simplified = evaluate(&doc, &rewrite_to_mfa(&normalised, &view).unwrap()).answers;
+        let original = hype(
+            &doc,
+            doc.root(),
+            &rewrite_to_mfa(&parsed, &view).unwrap(),
+            None,
+        )
+        .answers;
+        let simplified = hype(
+            &doc,
+            doc.root(),
+            &rewrite_to_mfa(&normalised, &view).unwrap(),
+            None,
+        )
+        .answers;
         assert_eq!(original, simplified, "normalisation changed `{query}`");
     }
 }
@@ -39,8 +50,8 @@ fn optimizer_preserves_rewritten_mfa_answers_and_shrinks_them() {
         total_before += mfa.size();
         total_after += optimized.size();
         assert_eq!(
-            evaluate(&doc, &mfa).answers,
-            evaluate(&doc, &optimized).answers,
+            hype(&doc, doc.root(), &mfa, None).answers,
+            hype(&doc, doc.root(), &optimized, None).answers,
             "optimization changed `{query}`"
         );
     }
@@ -63,7 +74,11 @@ fn optimizer_preserves_direct_query_answers() {
         let reference = reference_evaluate(&doc, doc.root(), &parsed);
         let mfa = compile_query(&parsed);
         let (optimized, _) = optimize_mfa(&mfa);
-        assert_eq!(evaluate(&doc, &optimized).answers, reference, "`{query}`");
+        assert_eq!(
+            hype(&doc, doc.root(), &optimized, None).answers,
+            reference,
+            "`{query}`"
+        );
     }
 }
 
@@ -77,12 +92,18 @@ fn combined_passes_compose() {
         "((patient/parent)*)*/patient[record and record]",
     ] {
         let parsed = parse_path(query).unwrap();
-        let baseline = evaluate(&doc, &rewrite_to_mfa(&parsed, &view).unwrap()).answers;
+        let baseline = hype(
+            &doc,
+            doc.root(),
+            &rewrite_to_mfa(&parsed, &view).unwrap(),
+            None,
+        )
+        .answers;
         let tuned = {
             let normalised = normalize(&parsed);
             let mfa = rewrite_to_mfa(&normalised, &view).unwrap();
             let (optimized, _) = optimize_mfa(&mfa);
-            evaluate(&doc, &optimized).answers
+            hype(&doc, doc.root(), &optimized, None).answers
         };
         assert_eq!(baseline, tuned, "pipeline passes changed `{query}`");
     }

@@ -90,10 +90,10 @@ proptest! {
         let reference = evaluate(&doc, doc.root(), &query);
         let mfa = compile_query(&query);
         prop_assert_eq!(&evaluate_mfa(&doc, &mfa), &reference);
-        let hype = smoqe_hype::evaluate(&doc, &mfa);
+        let hype = integration_tests::hype(&doc, doc.root(), &mfa, None);
         prop_assert_eq!(&hype.answers, &reference);
         let index = smoqe_hype::ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let opt = smoqe_hype::evaluate_with_index(&doc, &mfa, &index);
+        let opt = integration_tests::hype(&doc, doc.root(), &mfa, Some(&index));
         prop_assert_eq!(&opt.answers, &reference);
     }
 
@@ -120,7 +120,7 @@ proptest! {
         let expected = materialized.origins_of(&on_view);
 
         let mfa = rewrite_to_mfa(&query, &view).unwrap();
-        let got = smoqe_hype::evaluate(&doc, &mfa);
+        let got = integration_tests::hype(&doc, doc.root(), &mfa, None);
         prop_assert_eq!(got.answers, expected);
     }
 

@@ -101,9 +101,7 @@ fn wire_answers_and_stats_match_direct_service_calls_across_tenants() {
                 .query(name, id, EvaluationMode::HyPE, query)
                 .unwrap_or_else(|e| panic!("`{query}` on {name}: {e}"));
             let direct = reference
-                .evaluate_corpus(&store, &[(ref_id, query)], EvaluationMode::HyPE)
-                .unwrap()
-                .pop()
+                .evaluate(query, store.get(ref_id).unwrap().tree(), EvaluationMode::HyPE)
                 .unwrap();
             assert_eq!(
                 wire,
@@ -260,6 +258,57 @@ fn tenants_cannot_reach_each_others_documents_or_views() {
 }
 
 #[test]
+fn query_and_batch_query_route_through_one_index_key_path() {
+    // Both request kinds resolve the document in the tenant's store and
+    // evaluate through the same service path, so the index cache key comes
+    // from one place: an OptHyPE `Query` builds the index and a
+    // `BatchQuery` holding the same query on the same document hits it.
+    let server = spawn_server(64);
+    let bytes = snapshot::save(&standard_hospital_document());
+    let mut client = SmoqedClient::connect(server.addr()).expect("connect");
+    client.register_view("nurse", &hospital_view()).unwrap();
+    client.register_view("research", &research_view()).unwrap();
+    let id = client.register_document("nurse", &bytes).unwrap();
+
+    let query = "patient/record/diagnosis";
+    let mode = EvaluationMode::OptHyPE;
+    let solo = client.query("nurse", id, mode, query).expect("query");
+    let (batch, _) = client.batch_query("nurse", id, mode, &[query]).expect("batch query");
+
+    let stats = client.stats(Some("nurse")).expect("stats");
+    let service = stats.service.expect("tenant stats present");
+    assert_eq!(service.index_misses, 1, "the Query builds the index");
+    assert_eq!(service.index_hits, 1, "the BatchQuery finds it under the same key");
+
+    // Both answers equal QueryService::evaluate on the same document.
+    let reference = QueryService::new(hospital_view()).unwrap();
+    let loaded = snapshot::load(&bytes).unwrap();
+    let direct = WireResult::from_result(&reference.evaluate(query, &loaded, mode).unwrap());
+    assert_eq!(solo, direct);
+    assert_eq!(batch, vec![direct]);
+
+    // A document registered with another tenant is unknown to this one,
+    // whichever request kind names it.
+    let other = snapshot::save(&smoqe_xml::parse_document("<hospital/>").unwrap());
+    let foreign = client.register_document("research", &other).unwrap();
+    assert_ne!(foreign, id);
+    let err = client
+        .query("nurse", foreign, mode, query)
+        .expect_err("a foreign id must fail on Query");
+    assert!(
+        matches!(err, ClientError::Server { code: ErrorCode::UnknownDocument, .. }),
+        "got {err}"
+    );
+    let err = client
+        .batch_query("nurse", foreign, mode, &[query])
+        .expect_err("a foreign id must fail on BatchQuery");
+    assert!(
+        matches!(err, ClientError::Server { code: ErrorCode::UnknownDocument, .. }),
+        "got {err}"
+    );
+}
+
+#[test]
 fn abrupt_disconnects_and_malformed_frames_do_not_wedge_the_server() {
     let server = spawn_server(64);
     let bytes = snapshot::save(&standard_hospital_document());
@@ -379,9 +428,7 @@ fn edits_over_the_wire_match_direct_apply_edit() {
         .query("nurse", new_id, EvaluationMode::HyPE, "patient")
         .unwrap();
     let direct = reference
-        .evaluate_corpus(&store, &[(DocId(new_id), "patient")], EvaluationMode::HyPE)
-        .unwrap()
-        .pop()
+        .evaluate("patient", store.get(DocId(new_id)).unwrap().tree(), EvaluationMode::HyPE)
         .unwrap();
     assert_eq!(wire, WireResult::from_result(&direct));
 

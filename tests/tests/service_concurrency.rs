@@ -100,8 +100,10 @@ fn eight_threads_hammer_one_shared_service() {
                     // Cold query, parallel front-end (cache miss + shard pool).
                     let cold = cold_query(t, round);
                     let got = service
-                        .answer_parallel(&cold, &document, EvaluationMode::HyPE)
-                        .unwrap();
+                        .evaluate_batch_parallel(&[cold.as_str()], &document, EvaluationMode::HyPE)
+                        .unwrap()
+                        .results
+                        .remove(0);
                     lookups.fetch_add(1, Ordering::Relaxed);
                     assert_eq!(got.answers, *cold_expected, "cold `{cold}` (thread {t})");
 
@@ -199,7 +201,7 @@ fn editing_one_document_leaves_other_documents_entries_hot() {
     for id in [doc_a, doc_b] {
         for q in warm_queries {
             service
-                .evaluate_corpus(&store, &[(id, q)], EvaluationMode::OptHyPE)
+                .evaluate_corpus_parallel(&store, &[(id, q)], EvaluationMode::OptHyPE)
                 .unwrap();
         }
     }
@@ -218,7 +220,7 @@ fn editing_one_document_leaves_other_documents_entries_hot() {
                 for round in 0..50 {
                     let q = warm_queries[round % warm_queries.len()];
                     service
-                        .evaluate_corpus(&store, &[(doc_b, q)], EvaluationMode::OptHyPE)
+                        .evaluate_corpus_parallel(&store, &[(doc_b, q)], EvaluationMode::OptHyPE)
                         .unwrap();
                     b_lookups.fetch_add(1, Ordering::Relaxed);
                 }
@@ -262,7 +264,7 @@ fn editing_one_document_leaves_other_documents_entries_hot() {
     );
     // And B still hits after the dust settles, while A's retired id is gone.
     service
-        .evaluate_corpus(&store, &[(doc_b, "patient")], EvaluationMode::OptHyPE)
+        .evaluate_corpus_parallel(&store, &[(doc_b, "patient")], EvaluationMode::OptHyPE)
         .unwrap();
     assert_eq!(service.stats().index_misses, warm.index_misses);
     assert!(!store.contains(doc_a), "the edit retired A's old version");

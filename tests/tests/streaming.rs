@@ -12,26 +12,56 @@
 //! and evaluation uses O(depth) frames and **zero** arena-node allocations.
 
 use integration_tests::{
-    document_query_corpus, domain_corpus_mfas, standard_hospital_document, view_query_corpus,
+    compile, document_query_corpus, domain_corpus_mfas, standard_hospital_document,
+    view_query_corpus,
 };
 use proptest::prelude::*;
 
 use smoqe::SmoqeEngine;
-use smoqe_automata::compile_query;
+use smoqe_automata::{compile_query, CompiledMfa, Mfa};
 use smoqe_hype::{
-    evaluate, evaluate_batch, evaluate_stream, evaluate_stream_batch, BatchQuery, StreamHype,
+    evaluate_batch_compiled, evaluate_compiled_at_with, CompiledBatchQuery, HypeResult,
+    StreamHype, StreamResult, StreamStats,
 };
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, generate_from_dtd, generate_hospital, DtdGenConfig, HospitalConfig};
 use smoqe_xml::hospital::{hospital_document_dtd, hospital_view_dtd};
 use smoqe_xml::stream::{EventSource, TreeEvents, XmlEvent};
 use smoqe_xml::{
-    node_allocations, parse_document, to_xml_string, NodeId, ParseError, XmlStreamReader, XmlTree,
-    XmlTreeBuilder,
+    node_allocations, parse_document, to_xml_string, LabelInterner, NodeId, ParseError,
+    XmlStreamReader, XmlTree, XmlTreeBuilder,
 };
 use smoqe_xpath::parse_path;
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
+
+/// Plain compiled HyPE of `ir` over the tree.
+fn evaluate(tree: &XmlTree, ir: &Arc<CompiledMfa>) -> HypeResult {
+    evaluate_compiled_at_with(tree, tree.root(), ir, None)
+}
+
+/// `queries` through the compiled stream machine over `source`.
+fn evaluate_stream_batch(
+    source: &mut impl EventSource,
+    queries: &[CompiledBatchQuery],
+) -> Result<StreamResult, ParseError> {
+    StreamHype::new(queries, LabelInterner::new()).run(source)
+}
+
+/// `ir` alone through the compiled stream machine over `source`.
+fn evaluate_stream(
+    source: &mut impl EventSource,
+    ir: &Arc<CompiledMfa>,
+) -> Result<(HypeResult, StreamStats), ParseError> {
+    let mut out = evaluate_stream_batch(source, &[CompiledBatchQuery::new(Arc::clone(ir))])?;
+    Ok((out.results.remove(0), out.stats))
+}
+
+/// Every builder MFA of `mfas` compiled for one plain-HyPE batch.
+fn batch_of<'a>(mfas: impl IntoIterator<Item = &'a Mfa>) -> Vec<CompiledBatchQuery<'static>> {
+    mfas.into_iter().map(|m| CompiledBatchQuery::new(compile(m))).collect()
+}
 
 /// Maps a tree's arena node ids to the pre-order indices a stream assigns.
 fn preorder_ids(tree: &XmlTree) -> HashMap<NodeId, NodeId> {
@@ -56,7 +86,7 @@ fn streaming_matches_the_tree_engine_on_the_document_corpus_solo() {
     let pre = preorder_ids(&doc);
     let xml = to_xml_string(&doc);
     for query in document_query_corpus() {
-        let mfa = compile_query(&parse_path(query).unwrap());
+        let mfa = compile(&compile_query(&parse_path(query).unwrap()));
         let on_tree = evaluate(&doc, &mfa);
         let expected = to_preorder(&on_tree.answers, &pre);
 
@@ -88,8 +118,8 @@ fn streaming_matches_the_tree_engine_on_the_document_corpus_batched() {
         .iter()
         .map(|q| compile_query(&parse_path(q).unwrap()))
         .collect();
-    let batch_queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
-    let tree_batch = evaluate_batch(&doc, &batch_queries);
+    let batch_queries = batch_of(&mfas);
+    let tree_batch = evaluate_batch_compiled(&doc, &batch_queries);
 
     let mut events = TreeEvents::new(&doc);
     let streamed = evaluate_stream_batch(&mut events, &batch_queries).unwrap();
@@ -126,7 +156,7 @@ fn streaming_matches_the_rewritten_view_corpus_solo_and_batched() {
     for (query, c) in queries.iter().zip(&compiled) {
         let on_tree = c.evaluate(&doc);
         let mut events = TreeEvents::new(&doc);
-        let (streamed, _) = evaluate_stream(&mut events, c.mfa()).unwrap();
+        let (streamed, _) = evaluate_stream(&mut events, c.compiled()).unwrap();
         assert_eq!(
             streamed.answers,
             to_preorder(&on_tree.answers, &pre),
@@ -136,8 +166,11 @@ fn streaming_matches_the_rewritten_view_corpus_solo_and_batched() {
     }
 
     // The whole corpus as one batch.
-    let batch_queries: Vec<BatchQuery> = compiled.iter().map(|c| BatchQuery::new(c.mfa())).collect();
-    let tree_batch = evaluate_batch(&doc, &batch_queries);
+    let batch_queries: Vec<CompiledBatchQuery> = compiled
+        .iter()
+        .map(|c| CompiledBatchQuery::new(Arc::clone(c.compiled())))
+        .collect();
+    let tree_batch = evaluate_batch_compiled(&doc, &batch_queries);
     let mut events = TreeEvents::new(&doc);
     let streamed = evaluate_stream_batch(&mut events, &batch_queries).unwrap();
     for (i, query) in queries.iter().enumerate() {
@@ -162,11 +195,11 @@ fn every_domain_and_shape_streams_identically_to_the_tree_engine() {
     // and the two sources must agree with each other bit for bit.
     for domain in all_domains() {
         let mfas = domain_corpus_mfas(&domain);
-        let batch_queries: Vec<BatchQuery> = mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect();
+        let batch_queries = batch_of(mfas.iter().map(|(_, m)| m));
         for &shape in domain.shapes {
             let doc = domain.generate(shape, 1, STANDARD_SEED);
             let pre = preorder_ids(&doc);
-            let tree_batch = evaluate_batch(&doc, &batch_queries);
+            let tree_batch = evaluate_batch_compiled(&doc, &batch_queries);
 
             let mut events = TreeEvents::new(&doc);
             let replayed = evaluate_stream_batch(&mut events, &batch_queries).unwrap();
@@ -214,11 +247,12 @@ fn indexed_streaming_matches_opthype_on_the_document_corpus() {
     let pre = preorder_ids(&doc);
     for query in document_query_corpus() {
         let mfa = compile_query(&parse_path(query).unwrap());
+        let ir = compile(&mfa);
         let index = smoqe_hype::ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let on_tree = smoqe_hype::evaluate_with_index(&doc, &mfa, &index);
+        let on_tree = evaluate_compiled_at_with(&doc, doc.root(), &ir, Some(&index));
         // Indexed streaming needs the interner the index was built over.
-        let engine = StreamHype::with_interner(
-            &[BatchQuery::with_index(&mfa, &index)],
+        let engine = StreamHype::new(
+            &[CompiledBatchQuery::with_index(ir, &index)],
             doc.labels().clone(),
         );
         let mut events = TreeEvents::new(&doc);
@@ -246,7 +280,7 @@ fn streaming_never_allocates_arena_nodes_and_stays_within_depth() {
         .iter()
         .map(|q| compile_query(&parse_path(q).unwrap()))
         .collect();
-    let batch_queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
+    let batch_queries = batch_of(&mfas);
 
     let before = node_allocations();
     let mut reader = XmlStreamReader::new(xml.as_bytes());
@@ -412,7 +446,7 @@ proptest! {
             ..Default::default()
         });
         let query = document_query_corpus()[query_idx];
-        let mfa = compile_query(&parse_path(query).unwrap());
+        let mfa = compile(&compile_query(&parse_path(query).unwrap()));
         let on_tree = evaluate(&doc, &mfa);
         let pre = preorder_ids(&doc);
         let mut events = TreeEvents::new(&doc);
