@@ -109,6 +109,39 @@ impl BatchStats {
 
 /// The result of a batched run: one [`HypeResult`] per query, in input
 /// order, plus the shared traversal statistics.
+///
+/// Each result is exactly what a solo run of that query would have
+/// produced, while the document is traversed only once:
+///
+/// ```
+/// use std::sync::Arc;
+/// use smoqe_automata::{compile_query, CompiledMfa};
+/// use smoqe_hype::{evaluate_batch_compiled, CompiledBatchQuery};
+/// use smoqe_xml::XmlTreeBuilder;
+/// use smoqe_xpath::parse_path;
+///
+/// let mut b = XmlTreeBuilder::new();
+/// let root = b.root("hospital");
+/// let patient = b.child(root, "patient");
+/// b.child_with_text(patient, "pname", "Alice");
+/// let doc = b.finish();
+///
+/// let ir = |q: &str| Arc::new(CompiledMfa::new(&compile_query(&parse_path(q).unwrap())));
+/// let patients = CompiledBatchQuery::new(ir("patient"));
+/// let names = CompiledBatchQuery::new(ir("patient/pname"));
+/// let batch = evaluate_batch_compiled(&doc, &[patients.clone(), names]);
+///
+/// assert_eq!(batch.results.len(), 2);
+/// assert_eq!(batch.results[0].answers.len(), 1); // the <patient>
+/// assert_eq!(batch.results[1].answers.len(), 1); // its <pname>
+/// // The shared pass performs no more visits than N sequential runs would.
+/// assert!(batch.stats.nodes_visited <= batch.stats.sequential_node_visits);
+///
+/// // A solo query is a batch of one: same answers, same statistics.
+/// let solo = evaluate_batch_compiled(&doc, &[patients]);
+/// assert_eq!(solo.results[0].answers, batch.results[0].answers);
+/// assert_eq!(solo.results[0].stats, batch.results[0].stats);
+/// ```
 #[derive(Debug, Clone)]
 pub struct BatchResult {
     /// Per-query answers and statistics, index-aligned with the input batch.
